@@ -38,9 +38,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import codec
 from .errors import CellSpacesError
 from .folner import ExpansionSet, check_doubling, folner_search, ratios
-from .groups import FreeAbelianGroup, FreeGroup, GroupElement
+from .groups import FreeAbelianGroup
 from .matching import HaremMatching, solve_harem
 from .measures import FAMeasure, check_semi_invariance
 from .paradox import (
@@ -49,11 +50,10 @@ from .paradox import (
     decomposition_from_map,
     decomposition_to_json,
     harem_matching,
-    tarski_contradiction,
     two_to_one_from_matching,
     verify_decomposition,
 )
-from .spaces import CellSpace, Window, point_key, verify_axioms
+from .spaces import CellSpace, CheckReport, Window, box_points, verify_axioms
 from .transfer import (
     affine_dilations,
     affine_translations,
@@ -78,26 +78,12 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _element(space: CellSpace, data) -> GroupElement:
-    group = space.group
-    if isinstance(group, FreeGroup):
-        return group.word(data)
-    if isinstance(data, list):
-        return group.element(tuple(data))
-    return group.element(data)
-
-
-def _point_str(m) -> str:
-    return str(point_key(m))
-
-
 def _window(space: CellSpace, cfg: dict) -> Window:
     wcfg = cfg.get("window")
     if wcfg is None:
         if not space.is_finite:
             raise ConfigError("infinite space needs a window block")
-        pts = tuple(space.points())
-        return Window(pts, pts, "full")
+        return space.full_window()
     core_r = int(wcfg["core_radius"])
     halo_r = int(wcfg["halo_radius"])
     if halo_r < core_r:
@@ -108,7 +94,7 @@ def _window(space: CellSpace, cfg: dict) -> Window:
 def _expansion(space: CellSpace, cfg: dict) -> ExpansionSet:
     if "E" not in cfg:
         raise ConfigError("config needs an E block of coset representatives")
-    return ExpansionSet.of([space.coset(_element(space, d)) for d in cfg["E"]])
+    return ExpansionSet.of([space.coset(codec.element(space.group, d)) for d in cfg["E"]])
 
 
 def _family(space: CellSpace, cfg: dict) -> list:
@@ -119,28 +105,11 @@ def _family(space: CellSpace, cfg: dict) -> list:
     if kind == "full":
         return [("full", list(space.points()))]
     if kind == "boxes":
-        group = space.group
-        if not isinstance(group, FreeAbelianGroup):
+        if not isinstance(space.group, FreeAbelianGroup):
             raise ConfigError("boxes family needs a lattice space")
-        import itertools
-
-        out = []
-        for n in fcfg["sizes"]:
-            pts = [
-                group.element(v)
-                for v in itertools.product(range(int(n)), repeat=group.d)
-            ]
-            out.append((f"box:{n}", pts))
-        return out
+        return [(f"box:{n}", box_points(space.group, 0, int(n))) for n in fcfg["sizes"]]
     if kind == "balls":
-        out = []
-        for r in fcfg["radii"]:
-            pts = sorted(
-                {space.left_action(g, space.m0) for g in space.group.ball(int(r))},
-                key=point_key,
-            )
-            out.append((f"ball:{r}", pts))
-        return out
+        return [(f"ball:{r}", space.orbit_ball(int(r))) for r in fcfg["radii"]]
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
@@ -150,53 +119,63 @@ def _measure(space: CellSpace, universe: Window, cfg: dict) -> FAMeasure:
     if kind == "uniform":
         return FAMeasure.uniform(universe)
     if kind == "point_mass":
-        return FAMeasure.point_mass(universe, _decode_at(space, mcfg["at"]))
+        return FAMeasure.point_mass(universe, codec.decode_point(space, mcfg["at"]))
     if kind == "weights":
         return FAMeasure(
             universe,
-            {_decode_at(space, p): _fraction(w) for p, w in mcfg["weights"]},
+            {codec.decode_point(space, p): _fraction(w) for p, w in mcfg["weights"]},
         )
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
-def _decode_at(space: CellSpace, data):
-    if isinstance(data, list):
-        return _element(space, data)
-    return data
-
-
-def _header(cfg_bytes: bytes, space: CellSpace, seed: Optional[int]) -> dict:
+def _header(cfg_bytes: bytes, space: Optional[CellSpace], seed: Optional[int]) -> dict:
     return {
         "config_digest": hashlib.sha256(cfg_bytes).hexdigest(),
-        "space": space.name,
-        "coordinate_rule": space.coordinate_rule,
+        "space": space.name if space is not None else None,
+        "coordinate_rule": space.coordinate_rule if space is not None else "",
         "seed": seed,
     }
 
 
-def _emit(payload: dict, out: Optional[str], fmt: str, csv_rows=None, csv_fields=None):
-    if fmt == "csv" and csv_rows is not None:
-        buf = io.StringIO()
-        for key in ("config_digest", "space", "coordinate_rule"):
-            buf.write(f"# {key}={payload['header'][key]}\n")
-        writer = csv.DictWriter(buf, fieldnames=csv_fields, lineterminator="\n")
-        writer.writeheader()
-        for row in csv_rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _checks(report: CheckReport) -> list:
+    return [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks]
 
 
-def _write_witness(witness: dict, out: Optional[str]) -> None:
-    text = json.dumps(witness, sort_keys=True, indent=2, default=str) + "\n"
-    if out:
-        with open(out + ".witness.json", "w") as fh:
+def _verdict(report: CheckReport, payload: dict):
+    """Exit 0 when the report passed, else 2 with its failing checks named."""
+    if report.passed:
+        return 0, payload, None
+    return 2, payload, {"failures": [c.name for c in report.failures()]}
+
+
+def _violation(outcome, names_left: list, names_right: list) -> dict:
+    """A Hall witness with its vertices named as the report names them."""
+    names = names_left if outcome.side == "left" else names_right
+    return {
+        "side": outcome.side,
+        "vertices": [names[v] for v in outcome.vertices],
+        "neighbourhood_size": outcome.neighbourhood_size,
+    }
+
+
+def _json(document: dict) -> str:
+    return json.dumps(document, sort_keys=True, indent=2, default=str) + "\n"
+
+
+def _csv(header: dict, rows: list) -> str:
+    buf = io.StringIO()
+    for key in ("config_digest", "space", "coordinate_rule"):
+        buf.write(f"# {key}={header[key]}\n")
+    writer = csv.DictWriter(buf, fieldnames=RATIO_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _write(text: str, path: Optional[str]) -> None:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -210,7 +189,7 @@ def _cmd_describe(space: CellSpace, cfg: dict):
     sample = [space.coset(g) for g in space.group.ball(1)]
     seen: dict = {}
     for c in sample:
-        seen.setdefault(str(c.key), space.group.describe_element(c.key))
+        seen.setdefault(codec.key_text(c.key), space.group.describe_element(c.key))
     info = {
         "space": space.name,
         "stabilizer_order": len(space.stabilizer),
@@ -230,42 +209,17 @@ def _cmd_axioms(space: CellSpace, cfg: dict):
     window = _window(space, cfg)
     cosets = [space.coset(g) for g in space.group.ball(2)]
     report = verify_axioms(space, window, cosets)
-    payload = {
-        "checks": [
-            {"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks
-        ],
-        "passed": report.passed,
-    }
-    if report.passed:
-        return 0, payload, None
-    return 2, payload, {"failures": [c.name for c in report.failures()]}
-
-
-def _ratio_rows(space, E, family, window, parallel):
-    tasks = [(set_id, F, e) for set_id, F in family for e in E]
-
-    def work(task):
-        set_id, F, e = task
-        return ratios(space, F, e, window, set_id)
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            recs = list(pool.map(work, tasks))
-    else:
-        recs = [work(t) for t in tasks]
-    return recs
+    return _verdict(report, {"checks": _checks(report), "passed": report.passed})
 
 
 RATIO_FIELDS = ["space", "set_id", "size", "coset", "ratio_out", "ratio_in", "certified"]
 
 
-def _cmd_ratios(space: CellSpace, cfg: dict, parallel: bool = False):
+def _cmd_ratios(space: CellSpace, cfg: dict):
     window = _window(space, cfg)
     E = _expansion(space, cfg)
     family = _family(space, cfg)
-    recs = _ratio_rows(space, E, family, window, parallel)
+    recs = [ratios(space, F, e, window, set_id) for set_id, F in family for e in E]
     rows = [
         {
             "space": space.name,
@@ -278,7 +232,7 @@ def _cmd_ratios(space: CellSpace, cfg: dict, parallel: bool = False):
         }
         for r in recs
     ]
-    return 0, {"records": rows}, None, rows
+    return 0, {"records": rows}, None
 
 
 def _cmd_folner_search(space: CellSpace, cfg: dict):
@@ -338,20 +292,12 @@ def _cmd_harem(space: Optional[CellSpace], cfg: dict):
         E = _expansion(space, cfg)
         graph = build_graph(space, E, window)
         outcome = harem_matching(graph, k)
-        names_left = [_point_str(m) for m in graph.left]
-        names_right = [_point_str(m) for m in graph.right]
+        names_left = [codec.key_text(m) for m in graph.left]
+        names_right = [codec.key_text(m) for m in graph.right]
     if isinstance(outcome, HaremMatching):
         pairs = [[names_left[x], names_right[y]] for x, y in outcome.pairs]
         return 0, {"k": k, "matched": True, "pairs": pairs}, None
-    witness = {
-        "side": outcome.side,
-        "vertices": [
-            (names_left if outcome.side == "left" else names_right)[v]
-            for v in outcome.vertices
-        ],
-        "neighbourhood_size": outcome.neighbourhood_size,
-        "k": k,
-    }
+    witness = {**_violation(outcome, names_left, names_right), "k": k}
     return 2, {"k": k, "matched": False, "violation": witness}, witness
 
 
@@ -361,11 +307,11 @@ def _cmd_paradox(space: CellSpace, cfg: dict):
     graph = build_graph(space, E, window)
     outcome = harem_matching(graph, 2)
     if not isinstance(outcome, HaremMatching):
-        witness = {
-            "side": outcome.side,
-            "vertices": [_point_str(graph.left[v]) if outcome.side == "left" else _point_str(graph.right[v]) for v in outcome.vertices],
-            "neighbourhood_size": outcome.neighbourhood_size,
-        }
+        witness = _violation(
+            outcome,
+            [codec.key_text(m) for m in graph.left],
+            [codec.key_text(m) for m in graph.right],
+        )
         return 2, {"stage": "matching", "violation": witness}, witness
     ttm = two_to_one_from_matching(graph, outcome)
     D = decomposition_from_map(space, ttm, E, window)
@@ -373,14 +319,10 @@ def _cmd_paradox(space: CellSpace, cfg: dict):
     payload = {
         "stage": "verified" if report.passed else "verify-failed",
         "interior_size": len(report.interior),
-        "checks": [
-            {"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks
-        ],
+        "checks": _checks(report),
         "decomposition": decomposition_to_json(space, D),
     }
-    if report.passed:
-        return 0, payload, None
-    return 2, payload, {"failures": [c.name for c in report.failures()]}
+    return _verdict(report, payload)
 
 
 def _cmd_verify_decomposition(space: CellSpace, cfg: dict):
@@ -397,9 +339,7 @@ def _cmd_verify_decomposition(space: CellSpace, cfg: dict):
     payload = {
         "passed": report.passed,
         "interior_size": len(report.interior),
-        "checks": [
-            {"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks
-        ],
+        "checks": _checks(report),
     }
     if report.passed:
         return 0, payload, None
@@ -413,15 +353,14 @@ def _cmd_verify_decomposition(space: CellSpace, cfg: dict):
 def _cmd_measures(space: CellSpace, cfg: dict):
     if not space.is_finite:
         raise ConfigError("semi-invariance check needs a finite space")
-    pts = tuple(space.points())
-    universe = Window(pts, pts, "full")
-    mu = _measure(space, universe, cfg)
+    mu = _measure(space, space.full_window(), cfg)
     report = check_semi_invariance(space, mu)
     payload = {
         "cosets_checked": report.cosets_checked,
         "passed": report.passed,
         "violations": [
-            {"point": _point_str(m), "coset": str(k)} for m, k in report.violations
+            {"point": codec.key_text(m), "coset": codec.key_text(k)}
+            for m, k in report.violations
         ],
     }
     if report.passed:
@@ -438,24 +377,20 @@ def _cmd_transfer(space: CellSpace, cfg: dict):
     payload = {
         "subgroup": name,
         "passed": report.passed,
-        "checks": [
-            {"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks
-        ],
+        "checks": _checks(report),
     }
     if report.passed:
-        pts = tuple(space.points())
-        universe = Window(pts, pts, "full")
-        mu = _measure(space, universe, cfg)
+        mu = _measure(space, space.full_window(), cfg)
         invariance = []
         for key in sorted(report.witnesses):
             h = report.witnesses[key]
             if h is None:
-                invariance.append({"coset": str(key), "witness": None, "passed": False})
+                invariance.append({"coset": codec.key_text(key), "witness": None, "passed": False})
                 continue
             verdict = transfer_invariance_check(space, mu, space.coset(space.group.element(key)), h)
             invariance.append(
                 {
-                    "coset": str(key),
+                    "coset": codec.key_text(key),
                     "witness": space.group.describe_element(h.payload),
                     "passed": verdict.passed,
                 }
@@ -464,20 +399,21 @@ def _cmd_transfer(space: CellSpace, cfg: dict):
         if all(row["passed"] for row in invariance):
             return 0, payload, None
         return 2, payload, {"invariance_failures": [r for r in invariance if not r["passed"]]}
-    return 2, payload, {"failures": [c.name for c in report.failures()]}
+    return _verdict(report, payload)
 
 
+# command name -> handler(space or None, config) -> (exit code, payload, witness)
 COMMANDS = {
-    "describe",
-    "axioms",
-    "ratios",
-    "folner-search",
-    "doubling",
-    "harem",
-    "paradox",
-    "verify-decomposition",
-    "measures",
-    "transfer",
+    "describe": _cmd_describe,
+    "axioms": _cmd_axioms,
+    "ratios": _cmd_ratios,
+    "folner-search": _cmd_folner_search,
+    "doubling": _cmd_doubling,
+    "harem": _cmd_harem,
+    "paradox": _cmd_paradox,
+    "verify-decomposition": _cmd_verify_decomposition,
+    "measures": _cmd_measures,
+    "transfer": _cmd_transfer,
 }
 
 
@@ -489,9 +425,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="json")
-    parser.add_argument(
-        "--parallel", action="store_true", help="evaluate family members in parallel"
-    )
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     try:
         args = parser.parse_args(argv)
@@ -506,45 +439,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
+    handler = COMMANDS[args.command]
     try:
         space = space_by_name(cfg["space"]["name"]) if "space" in cfg else None
-        if space is None and args.command != "harem":
+        if space is None and handler is not _cmd_harem:
             raise ConfigError("config needs a space block")
-        csv_rows = None
-        if args.command == "describe":
-            code, payload, witness = _cmd_describe(space, cfg)
-        elif args.command == "axioms":
-            code, payload, witness = _cmd_axioms(space, cfg)
-        elif args.command == "ratios":
-            code, payload, witness, csv_rows = _cmd_ratios(space, cfg, args.parallel)
-        elif args.command == "folner-search":
-            code, payload, witness = _cmd_folner_search(space, cfg)
-        elif args.command == "doubling":
-            code, payload, witness = _cmd_doubling(space, cfg)
-        elif args.command == "harem":
-            code, payload, witness = _cmd_harem(space, cfg)
-        elif args.command == "paradox":
-            code, payload, witness = _cmd_paradox(space, cfg)
-        elif args.command == "verify-decomposition":
-            code, payload, witness = _cmd_verify_decomposition(space, cfg)
-        elif args.command == "measures":
-            code, payload, witness = _cmd_measures(space, cfg)
-        else:
-            code, payload, witness = _cmd_transfer(space, cfg)
+        code, payload, witness = handler(space, cfg)
     except (ConfigError, CellSpacesError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    header = _header(cfg_bytes, space, args.seed) if space is not None else {
-        "config_digest": hashlib.sha256(cfg_bytes).hexdigest(),
-        "space": None,
-        "coordinate_rule": "",
-        "seed": args.seed,
-    }
-    document = {"header": header, "command": args.command, "result": payload}
-    _emit(document, args.out, args.format, csv_rows=csv_rows, csv_fields=RATIO_FIELDS)
+    header = _header(cfg_bytes, space, args.seed)
+    rows = payload.get("records")
+    if args.format == "csv" and rows is not None:
+        _write(_csv(header, rows), args.out)
+    else:
+        _write(_json({"header": header, "command": args.command, "result": payload}), args.out)
     if code == 2 and witness is not None:
-        _write_witness({"header": header, "witness": witness}, args.out)
+        witness_path = args.out + ".witness.json" if args.out else None
+        _write(_json({"header": header, "witness": witness}), witness_path)
     return code
 
 

@@ -53,9 +53,6 @@ class Group:
 
     backend: str = "?"
 
-    def __init__(self) -> None:
-        self.symmetric = True
-
     # -- payload-level ops ------------------------------------------------
     def _identity(self) -> Payload:
         raise NotImplementedError
@@ -110,11 +107,6 @@ class Group:
         self._check(a)
         return GroupElement(self, self._inv(a.payload))
 
-    def equal(self, a: GroupElement, b: GroupElement) -> bool:
-        self._check(a)
-        self._check(b)
-        return a.payload == b.payload
-
     def ball(self, r: int) -> list[GroupElement]:
         """Products of at most ``r`` symmetrized generators.
 
@@ -160,7 +152,6 @@ class PermutationGroup(Group):
     backend = "perm"
 
     def __init__(self, n: int, generators: Sequence[Sequence[int]]):
-        super().__init__()
         self.n = n
         gens = [tuple(g) for g in generators]
         for g in gens:
@@ -205,9 +196,6 @@ class PermutationGroup(Group):
             frontier = nxt
         return [GroupElement(self, p) for p in sorted(closure)]
 
-    def apply(self, g: GroupElement, i: int) -> int:
-        return g.payload[i]
-
 
 class SignedPermutationGroup(Group):
     """Hyperoctahedral group: signed permutations of d coordinates.
@@ -218,7 +206,8 @@ class SignedPermutationGroup(Group):
     backend = "signedperm"
 
     def __init__(self, d: int):
-        super().__init__()
+        if d < 1:
+            raise ConstructionError("signed permutations need at least one coordinate")
         self.d = d
 
     @property
@@ -246,13 +235,8 @@ class SignedPermutationGroup(Group):
         return tuple(out)
 
     def _inv(self, a: Payload) -> Payload:
-        out = [0] * self.d
-        for i in range(self.d):
-            t = a[i]
-            j = abs(t) - 1
-            s = 1 if t > 0 else -1
-            out[j] = s * (i + 1)
-        return tuple(out)
+        # a sends e_i to s e_j, so its image of (1, ..., d) has s (i+1) at j
+        return self.apply_to_vector(GroupElement(self, a), self._identity())
 
     @property
     def is_finite(self) -> bool:
@@ -281,7 +265,8 @@ class FreeAbelianGroup(Group):
     backend = "zd"
 
     def __init__(self, d: int):
-        super().__init__()
+        if d < 1:
+            raise ConstructionError("Z^d needs at least one dimension")
         self.d = d
 
     @property
@@ -325,7 +310,6 @@ class FreeGroup(Group):
     backend = "free"
 
     def __init__(self, k: int):
-        super().__init__()
         if k < 1:
             raise ConstructionError("free group needs at least one generator")
         self.k = k
@@ -375,7 +359,6 @@ class SemidirectProduct(Group):
     backend = "semidirect"
 
     def __init__(self, g0_group: Group, h_group: Group, tau: dict):
-        super().__init__()
         if not g0_group.is_finite:
             raise ConstructionError("semidirect factor G0 must be finite")
         self.G0 = g0_group

@@ -49,27 +49,42 @@ class Dinic:
                     q.append(v)
         return self.level[t] >= 0
 
-    def _dfs(self, u: int, t: int, f: int) -> int:
-        if u == t:
-            return f
-        while self.it[u] < len(self.adj[u]):
-            eid = self.adj[u][self.it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 0 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(f, self.cap[eid]))
-                if d > 0:
-                    self.cap[eid] -= d
-                    self.cap[eid ^ 1] += d
-                    return d
-            self.it[u] += 1
-        return 0
+    def _augment(self, s: int, t: int) -> int:
+        """Push flow along one level-graph path, or return 0 if none is left.
+
+        Depth-first with an explicit edge path, so long paths cannot exhaust
+        the interpreter stack; ``it[u]`` advances only when the search leaves
+        ``u`` through a dead end, as in the textbook recursive form.
+        """
+        to, cap, adj, level, it = self.to, self.cap, self.adj, self.level, self.it
+        path: list[int] = []
+        u = s
+        while u != t:
+            while it[u] < len(adj[u]):
+                eid = adj[u][it[u]]
+                if cap[eid] > 0 and level[to[eid]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+                continue
+            path.append(eid)
+            u = to[eid]
+        d = min(cap[eid] for eid in path)
+        for eid in path:
+            cap[eid] -= d
+            cap[eid ^ 1] += d
+        return d
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
         while self._bfs(s, t):
             self.it = [0] * self.n
             while True:
-                f = self._dfs(s, t, INF)
+                f = self._augment(s, t)
                 if f == 0:
                     break
                 total += f
@@ -105,91 +120,45 @@ class HaremMatching:
     k: int
     pairs: tuple
 
-    def right_of(self, x: int) -> list[int]:
-        return sorted(y for (xx, y) in self.pairs if xx == x)
-
-    def left_of(self, y: int) -> Optional[int]:
-        for (x, yy) in self.pairs:
-            if yy == y:
-                return x
-        return None
-
 
 def solve_harem(
     n_left: int,
     n_right: int,
     adjacency: Sequence[Sequence[int]],
     k: int,
-    left_required: Optional[Sequence[bool]] = None,
     right_required: Optional[Sequence[bool]] = None,
 ) -> Union[HaremMatching, HaremViolation]:
-    """Find a matching where every required left vertex is matched exactly k
-    times and every right vertex at most once, exactly once if required.
+    """Find a matching where every left vertex is matched exactly k times and
+    every right vertex at most once, exactly once if ``right_required`` marks
+    it (all right vertices by default).
 
-    With everything required this is a perfect (1,k)-matching. Middle edges
-    carry unbounded capacity so that, on failure, residual reachability from
-    a deficient vertex yields a genuine Hall witness.
+    With every right vertex required this is a perfect (1,k)-matching, and
+    the vertex counts alone can refute it. Middle edges carry unbounded
+    capacity so that, on failure, residual reachability from a deficient
+    vertex yields a genuine Hall witness.
     """
     if k <= 0:
         raise ConstructionError("k must be a positive integer")
-    if left_required is None:
-        left_required = [True] * n_left
     if right_required is None:
         right_required = [True] * n_right
-
-    all_required = all(left_required) and all(right_required)
-    if all_required:
+    if all(right_required):
         if k * n_left > n_right:
             return HaremViolation("left", tuple(range(n_left)), n_right_of(adjacency, range(n_left)), k)
         if k * n_left < n_right:
-            touched = len({x for x in range(n_left) if adjacency[x]})
-            return HaremViolation("right", tuple(range(n_right)), touched, k)
-        return _solve_exact(n_left, n_right, adjacency, k)
-    return _solve_with_bounds(n_left, n_right, adjacency, k, left_required, right_required)
+            B = tuple(range(n_right))
+            return HaremViolation("right", B, n_left_of(adjacency, B), k)
 
-
-def n_right_of(adjacency: Sequence[Sequence[int]], A) -> int:
-    out: set[int] = set()
-    for x in A:
-        out.update(adjacency[x])
-    return len(out)
-
-
-def _solve_exact(n_left, n_right, adjacency, k):
-    s = 0
-    t = 1 + n_left + n_right
-    net = Dinic(t + 1)
-    left_edges = [net.add_edge(s, 1 + x, k) for x in range(n_left)]
-    mid = {}
-    for x in range(n_left):
-        for y in adjacency[x]:
-            mid[(x, y)] = net.add_edge(1 + x, 1 + n_left + y, INF)
-    for y in range(n_right):
-        net.add_edge(1 + n_left + y, t, 1)
-    flow = net.max_flow(s, t)
-    if flow == k * n_left:
-        pairs = tuple(
-            sorted((x, y) for (x, y), eid in mid.items() if net.flow_on(eid) > 0)
-        )
-        return HaremMatching(k, pairs)
-    reach = net.residual_reachable(s)
-    A = tuple(x for x in range(n_left) if (1 + x) in reach)
-    return HaremViolation("left", A, n_right_of(adjacency, A), k)
-
-
-def _solve_with_bounds(n_left, n_right, adjacency, k, left_required, right_required):
-    # lower-bound flow via the standard excess transformation
+    # lower-bound flow via the standard excess transformation; every left
+    # vertex has lower bound k = capacity, so it gets no source edge
     s = 0
     t = 1 + n_left + n_right
     ss = t + 1
     tt = t + 2
     net = Dinic(tt + 1)
     excess = [0] * (t + 1)
+    excess[s] = -k * n_left
     for x in range(n_left):
-        lb = k if left_required[x] else 0
-        net.add_edge(s, 1 + x, k - lb)
-        excess[1 + x] += lb
-        excess[s] -= lb
+        excess[1 + x] = k
     mid = {}
     for x in range(n_left):
         for y in adjacency[x]:
@@ -210,21 +179,27 @@ def _solve_with_bounds(n_left, n_right, adjacency, k, left_required, right_requi
     flow = net.max_flow(ss, tt)
     if flow < need:
         reach = net.residual_reachable(ss)
-        A = tuple(
-            x for x in range(n_left) if left_required[x] and (1 + x) in reach
-        )
+        A = tuple(x for x in range(n_left) if (1 + x) in reach)
         if A:
             return HaremViolation("left", A, n_right_of(adjacency, A), k)
         B = tuple(
             y for y in range(n_right) if right_required[y] and (1 + n_left + y) in reach
         )
-        nl: set[int] = set()
-        for x in range(n_left):
-            if set(adjacency[x]) & set(B):
-                nl.add(x)
-        return HaremViolation("right", B, len(nl), k)
+        return HaremViolation("right", B, n_left_of(adjacency, B), k)
     pairs = []
     for (x, y), eid in mid.items():
         if net.flow_on(eid) > 0:
             pairs.append((x, y))
     return HaremMatching(k, tuple(sorted(pairs)))
+
+
+def n_right_of(adjacency: Sequence[Sequence[int]], A) -> int:
+    out: set[int] = set()
+    for x in A:
+        out.update(adjacency[x])
+    return len(out)
+
+
+def n_left_of(adjacency: Sequence[Sequence[int]], B) -> int:
+    bs = set(B)
+    return sum(1 for row in adjacency if bs.intersection(row))

@@ -44,7 +44,11 @@ def indicator(universe: Window, A: Iterable) -> BoundedFn:
 
 
 class WeightVector:
-    """Shared representation of measures and means on a finite universe."""
+    """Shared representation of measures and means on a finite universe:
+    non-negative weights summing to exactly 1."""
+
+    negative_error = "weights must be non-negative"
+    sum_error = "weights must sum to exactly 1"
 
     def __init__(self, universe: Window, weights: dict):
         if set(universe.core) != set(universe.halo):
@@ -54,6 +58,10 @@ class WeightVector:
         for m in self.weights:
             if m not in universe.core_set:
                 raise ScopeMismatchError(f"weight at {m!r} outside the universe")
+        if any(w < 0 for w in self.weights.values()):
+            raise ConstructionError(self.negative_error)
+        if sum(self.weights.values(), Fraction(0)) != 1:
+            raise ConstructionError(self.sum_error)
 
     def weight(self, m) -> Fraction:
         return self.weights.get(m, Fraction(0))
@@ -62,12 +70,8 @@ class WeightVector:
 class FAMeasure(WeightVector):
     """Finitely additive probability measure: mu(A) = sum of point weights."""
 
-    def __init__(self, universe: Window, weights: dict):
-        super().__init__(universe, weights)
-        if any(w < 0 for w in self.weights.values()):
-            raise ConstructionError("measure weights must be non-negative")
-        if sum(self.weights.values(), Fraction(0)) != 1:
-            raise ConstructionError("measure weights must sum to exactly 1")
+    negative_error = "measure weights must be non-negative"
+    sum_error = "measure weights must sum to exactly 1"
 
     def measure(self, A: Iterable) -> Fraction:
         return sum((self.weight(m) for m in set(A)), Fraction(0))
@@ -85,12 +89,8 @@ class FAMeasure(WeightVector):
 class MeanVector(WeightVector):
     """Mean on a finite universe, represented by its weight vector."""
 
-    def __init__(self, universe: Window, weights: dict):
-        super().__init__(universe, weights)
-        if any(w < 0 for w in self.weights.values()):
-            raise ConstructionError("mean weights must be non-negative")
-        if sum(self.weights.values(), Fraction(0)) != 1:
-            raise ConstructionError("mean must be normalised")
+    negative_error = "mean weights must be non-negative"
+    sum_error = "mean must be normalised"
 
     def evaluate(self, f: BoundedFn) -> Fraction:
         return sum((w * f(m) for m, w in self.weights.items()), Fraction(0))
@@ -115,7 +115,6 @@ def funcamact(space: CellSpace, f: BoundedFn, coset: Coset) -> BoundedFn:
     Refuses to compute when the halo cannot certify the fibers.
     """
     universe = f.universe
-    halo = universe.halo_set
     out = {}
     for m in universe.core:
         pre = space.preimage(coset, [m], universe)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
+from . import codec
 from .errors import (
     ConstructionError,
     ScopeMismatchError,
@@ -26,34 +27,22 @@ from .folner import ExpansionSet
 from .groups import FreeGroup, GroupElement
 from .matching import HaremMatching, HaremViolation, solve_harem
 from .measures import FAMeasure
-from .spaces import CellSpace, CheckResult, Coset, Window, point_key
+from .spaces import CellSpace, CheckReport, Window, point_key
 
 
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Left: window core; right: its image under the expansion set.
 
-    ``adj[i]`` lists right indices reachable from ``left[i]``; each edge keeps
-    the first coset (in canonical order) that realises it. ``right_interior``
-    flags right vertices whose exact left fiber is fully inside the core.
+    ``adj[i]`` lists right indices reachable from ``left[i]``.
+    ``right_interior`` flags right vertices whose exact left fiber is fully
+    inside the core.
     """
 
     left: tuple
     right: tuple
     adj: tuple
-    edge_cosets: dict
-    left_interior: tuple
     right_interior: tuple
-
-    def n_r(self, A: Sequence[int]) -> set[int]:
-        out: set[int] = set()
-        for x in A:
-            out.update(self.adj[x])
-        return out
-
-    def n_l(self, B: Sequence[int]) -> set[int]:
-        bs = set(B)
-        return {x for x in range(len(self.left)) if bs & set(self.adj[x])}
 
 
 def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteGraph:
@@ -72,52 +61,36 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
                 raise UncertifiedWindowError(
                     f"image {img!r} of {m!r} under {e!r} escapes the window halo"
                 )
-            targets.setdefault(point_key(img), (img, e))
+            targets.setdefault(point_key(img), img)
         edge_targets.append(targets)
-        for k, (img, _) in targets.items():
+        for k, img in targets.items():
             images.setdefault(k, img)
     right = tuple(images[k] for k in sorted(images))
     right_index = {point_key(y): i for i, y in enumerate(right)}
-    adj = []
-    edge_cosets: dict = {}
-    for i, targets in enumerate(edge_targets):
-        row = sorted(right_index[k] for k in targets)
-        adj.append(tuple(row))
-        for k, (_, e) in targets.items():
-            edge_cosets[(i, right_index[k])] = e
-    right_interior = []
-    for y in right:
-        interior = True
-        for e in E:
-            fiber = space.exact_preimage_point(e, y)
-            if fiber is None or any(m not in core for m in fiber):
-                interior = False
-                break
-        right_interior.append(interior)
+    adj = [tuple(sorted(right_index[k] for k in targets)) for targets in edge_targets]
     return BipartiteGraph(
         left=left,
         right=right,
         adj=tuple(adj),
-        edge_cosets=edge_cosets,
-        left_interior=tuple(True for _ in left),
-        right_interior=tuple(right_interior),
+        right_interior=tuple(_fibers_in_core(space, E, y, core) for y in right),
     )
 
 
-def harem_matching(
-    graph: BipartiteGraph, k: int = 2, interior_only: bool = True
-) -> Union[HaremMatching, HaremViolation]:
+def _fibers_in_core(space: CellSpace, E: ExpansionSet, m, core: frozenset) -> bool:
+    """Whether the exact fiber of m under every coset of E lies in the core."""
+    for e in E:
+        fiber = space.exact_preimage_point(e, m)
+        if fiber is None or any(p not in core for p in fiber):
+            return False
+    return True
+
+
+def harem_matching(graph: BipartiteGraph, k: int = 2) -> Union[HaremMatching, HaremViolation]:
     """Perfect (1,k)-matching of the graph: every left vertex matched exactly
-    k times, every right vertex at most once, interior right vertices exactly
-    once. With ``interior_only=False`` every right vertex is required."""
-    right_required = graph.right_interior if interior_only else tuple(True for _ in graph.right)
+    k times, every right vertex at most once, and the interior right vertices
+    (``graph.right_interior``) exactly once."""
     return solve_harem(
-        len(graph.left),
-        len(graph.right),
-        graph.adj,
-        k,
-        left_required=graph.left_interior,
-        right_required=right_required,
+        len(graph.left), len(graph.right), graph.adj, k, right_required=graph.right_interior
     )
 
 
@@ -147,14 +120,13 @@ def two_to_one_from_matching(
     psi: dict = {}
     psi_prime: dict = {}
     for x, ys in fibers.items():
-        if graph.left_interior[x] and len(ys) != 2:
+        if len(ys) != 2:
             raise ConstructionError(
                 f"left vertex {graph.left[x]!r} matched {len(ys)} times, expected 2"
             )
-        if len(ys) == 2:
-            lo, hi = sorted(ys)
-            psi[graph.left[x]] = graph.right[lo]
-            psi_prime[graph.left[x]] = graph.right[hi]
+        lo, hi = sorted(ys)
+        psi[graph.left[x]] = graph.right[lo]
+        psi_prime[graph.left[x]] = graph.right[hi]
     return TwoToOneMap(graph=graph, psi=psi, psi_prime=psi_prime, phi=phi)
 
 
@@ -204,32 +176,14 @@ def decomposition_from_map(
 
 
 @dataclass
-class DecompositionReport:
-    checks: list = field(default_factory=list)
+class DecompositionReport(CheckReport):
     interior: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.ok]
 
 
 def certified_interior(space: CellSpace, E: ExpansionSet, scope: Window) -> list:
     """Core points whose exact fiber under every coset of E lies in the core."""
     core = scope.core_set
-    out = []
-    for m in scope.core:
-        ok = True
-        for e in E:
-            fiber = space.exact_preimage_point(e, m)
-            if fiber is None or any(p not in core for p in fiber):
-                ok = False
-                break
-        if ok:
-            out.append(m)
-    return out
+    return [m for m in scope.core if _fibers_in_core(space, E, m, core)]
 
 
 def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionReport:
@@ -243,15 +197,12 @@ def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionRep
     interior = certified_interior(space, D.E, D.scope)
     report.interior = tuple(interior)
 
-    def add(name: str, ok: bool, witness: Optional[str] = None) -> None:
-        report.checks.append(CheckResult(name, ok, None if ok else witness))
-
     for label, family in (("A", D.A), ("B", D.B)):
         pieces = [family.get(e.key, ()) for e in D.E]
         union = set().union(*[set(p) for p in pieces]) if pieces else set()
         total = sum(len(p) for p in pieces)
         ok = union == core and total == len(core)
-        add(
+        report.add(
             f"partition-{label}",
             ok,
             f"|union|={len(union)}, total={total}, |core|={len(core)}",
@@ -264,18 +215,18 @@ def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionRep
         if len(img) != len(piece):
             bad = (label, e.key)
         images.append((f"{label}:{e.key}", img))
-    add("piece-injectivity", bad is None, f"piece={bad!r}")
+    report.add("piece-injectivity", bad is None, f"piece={bad!r}")
 
     bad = None
     for (n1, i1), (n2, i2) in itertools.combinations(images, 2):
         if i1 & i2:
             bad = (n1, n2, sorted(i1 & i2, key=point_key)[0])
             break
-    add("images-disjoint", bad is None, f"(piece,piece,point)={bad!r}")
+    report.add("images-disjoint", bad is None, f"(piece,piece,point)={bad!r}")
 
     covered = set().union(*[i for _, i in images]) if images else set()
     missing = [m for m in interior if m not in covered]
-    add(
+    report.add(
         "images-cover-interior",
         not missing,
         f"uncovered={missing[0]!r}" if missing else None,
@@ -291,7 +242,7 @@ def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionRep
         if count != 1:
             bad = (m, count)
             break
-    add("functional-identity", bad is None, f"(m,count)={bad!r}")
+    report.add("functional-identity", bad is None, f"(m,count)={bad!r}")
 
     return report
 
@@ -372,66 +323,48 @@ def search_decompositions(
     only feasible for very small finite spaces."""
     if not space.is_finite:
         raise ConstructionError("exhaustive search needs a finite space")
-    pts = space.points()
-    scope = Window(tuple(pts), tuple(pts), "full")
+    scope = space.full_window()
+    pts = scope.core
     cosets = space.cosets()
     for size in range(1, max_expansion + 1):
         for combo in itertools.combinations(cosets, size):
             E = ExpansionSet.of(list(combo))
             keys = [e.key for e in E]
             for fa in itertools.product(keys, repeat=len(pts)):
-                A: dict = {k: [] for k in keys}
-                for m, k in zip(pts, fa):
-                    A[k].append(m)
+                A = _pieces(keys, pts, fa)
                 for fb in itertools.product(keys, repeat=len(pts)):
-                    B: dict = {k: [] for k in keys}
-                    for m, k in zip(pts, fb):
-                        B[k].append(m)
-                    D = Decomposition(
-                        E=E,
-                        A={k: tuple(v) for k, v in A.items()},
-                        B={k: tuple(v) for k, v in B.items()},
-                        scope=scope,
-                    )
+                    D = Decomposition(E=E, A=A, B=_pieces(keys, pts, fb), scope=scope)
                     if verify_decomposition(space, D).passed:
                         return D
     return None
+
+
+def _pieces(keys: list, pts: tuple, labels: tuple) -> dict:
+    """The pieces of ``pts`` when point i goes to the coset key ``labels[i]``."""
+    pieces: dict = {k: [] for k in keys}
+    for m, k in zip(pts, labels):
+        pieces[k].append(m)
+    return {k: tuple(v) for k, v in pieces.items()}
 
 
 # ---------------------------------------------------------------------------
 # serialisation
 
 
-def _encode_point(m):
-    if isinstance(m, GroupElement):
-        return {"g": list(m.payload)}
-    if isinstance(m, tuple):
-        return {"t": list(m)}
-    return m
-
-
-def _decode_point(obj, space: CellSpace):
-    if isinstance(obj, dict) and "g" in obj:
-        return space.group.element(tuple(obj["g"]))
-    if isinstance(obj, dict) and "t" in obj:
-        return tuple(obj["t"])
-    return obj
-
-
 def decomposition_to_json(space: CellSpace, D: Decomposition) -> dict:
     def enc_family(family: dict) -> list:
         return [
-            [list(e.key), [_encode_point(m) for m in family.get(e.key, ())]]
+            [codec.encode_payload(e.key), [codec.encode_point(m) for m in family.get(e.key, ())]]
             for e in D.E
         ]
 
     return {
-        "E": [list(e.key) for e in D.E],
+        "E": [codec.encode_payload(e.key) for e in D.E],
         "A": enc_family(D.A),
         "B": enc_family(D.B),
         "scope": {
-            "core": [_encode_point(m) for m in D.scope.core],
-            "halo": [_encode_point(m) for m in D.scope.halo],
+            "core": [codec.encode_point(m) for m in D.scope.core],
+            "halo": [codec.encode_point(m) for m in D.scope.halo],
             "note": D.scope.note,
         },
     }
@@ -440,18 +373,18 @@ def decomposition_to_json(space: CellSpace, D: Decomposition) -> dict:
 def decomposition_from_json(space: CellSpace, data: dict) -> Decomposition:
     try:
         E = ExpansionSet.of(
-            [space.coset(space.group.element(tuple(k))) for k in data["E"]]
+            [space.coset(codec.element(space.group, k)) for k in data["E"]]
         )
 
         def dec_family(rows: list) -> dict:
             return {
-                tuple(k): tuple(_decode_point(m, space) for m in pts)
+                codec.coset_key(space, k): tuple(codec.decode_point(space, m) for m in pts)
                 for k, pts in rows
             }
 
         scope = Window(
-            tuple(_decode_point(m, space) for m in data["scope"]["core"]),
-            tuple(_decode_point(m, space) for m in data["scope"]["halo"]),
+            tuple(codec.decode_point(space, m) for m in data["scope"]["core"]),
+            tuple(codec.decode_point(space, m) for m in data["scope"]["halo"]),
             data["scope"].get("note", ""),
         )
         return Decomposition(

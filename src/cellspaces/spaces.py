@@ -84,11 +84,19 @@ class Window:
     def halo_set(self) -> frozenset:
         return frozenset(self.halo)
 
-    def index(self, m) -> int:
-        try:
-            return self.halo.index(m)
-        except ValueError:
-            raise KeyError(f"point {m!r} not in window halo") from None
+
+def box_points(group: FreeAbelianGroup, lo: int, hi: int) -> tuple:
+    """The elements of Z^d whose every coordinate lies in ``range(lo, hi)``."""
+    return tuple(group.element(v) for v in itertools.product(range(lo, hi), repeat=group.d))
+
+
+def box_window(group: FreeAbelianGroup, core_radius: int, halo_radius: int) -> Window:
+    """Sup-norm boxes of Z^d centred on the origin."""
+    return Window(
+        box_points(group, -core_radius, core_radius + 1),
+        box_points(group, -halo_radius, halo_radius + 1),
+        f"box r={core_radius}, halo r={halo_radius}",
+    )
 
 
 @dataclass(frozen=True)
@@ -111,9 +119,10 @@ class CheckResult:
 
 
 @dataclass
-class AxiomReport:
-    space_name: str
-    checks: list[CheckResult] = field(default_factory=list)
+class CheckReport:
+    """Base of the reports made of named checks; passes when every check does."""
+
+    checks: list[CheckResult] = field(default_factory=list, kw_only=True)
 
     @property
     def passed(self) -> bool:
@@ -121,6 +130,15 @@ class AxiomReport:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.ok]
+
+    def add(self, name: str, ok: bool, witness: Optional[str] = None) -> None:
+        """Record a check; its witness is kept only when it failed."""
+        self.checks.append(CheckResult(name, ok, None if ok else witness))
+
+
+@dataclass
+class AxiomReport(CheckReport):
+    space_name: str
 
 
 class CellSpace:
@@ -151,6 +169,17 @@ class CellSpace:
 
     def points(self) -> list:
         raise NotImplementedError(f"{self.name} has infinitely many points")
+
+    def orbit_ball(self, r: int) -> tuple:
+        """The points g . m0 for g in the group's ball of radius r, sorted."""
+        return tuple(
+            sorted({self.left_action(g, self.m0) for g in self.group.ball(r)}, key=point_key)
+        )
+
+    def full_window(self, note: str = "full") -> Window:
+        """All points of a finite space, as both core and halo."""
+        points = tuple(self.points())
+        return Window(points, points, note)
 
     def exact_preimage_point(self, coset: Coset, a) -> Optional[list]:
         """All m in M with m |> coset = a, or None if not computable."""
@@ -269,16 +298,13 @@ def verify_axioms(
     gens = list(generator_sample) if generator_sample is not None else space.group.ball(1)
     G0 = space.stabilizer
 
-    def add(name: str, ok: bool, witness: Optional[str] = None) -> None:
-        report.checks.append(CheckResult(name, ok, None if ok else witness))
-
     # coordinate property: g_{m0,m} . m0 = m
     bad = next((m for m in pts if space.left_action(space.coord(m), space.m0) != m), None)
-    add("coordinate-property", bad is None, f"m={bad!r}")
+    report.add("coordinate-property", bad is None, f"m={bad!r}")
 
     # stabilizer fixes the origin; sampled non-members do not
     bad = next((g for g in G0 if space.left_action(g, space.m0) != space.m0), None)
-    add("stabilizer-fixes-origin", bad is None, f"g0={bad!r}")
+    report.add("stabilizer-fixes-origin", bad is None, f"g0={bad!r}")
     g0_payloads = {g.payload for g in G0}
     bad = next(
         (
@@ -288,12 +314,12 @@ def verify_axioms(
         ),
         None,
     )
-    add("stabilizer-complete", bad is None, f"g={bad!r}")
+    report.add("stabilizer-complete", bad is None, f"g={bad!r}")
 
     # left action axioms on samples
     e = space.group.identity()
     bad = next((m for m in pts if space.left_action(e, m) != m), None)
-    add("action-identity", bad is None, f"m={bad!r}")
+    report.add("action-identity", bad is None, f"m={bad!r}")
     bad = None
     for g, h in itertools.islice(itertools.product(gens, gens), 400):
         for m in pts[:10]:
@@ -302,12 +328,12 @@ def verify_axioms(
                 break
         if bad:
             break
-    add("action-compatible", bad is None, f"(g,h,m)={bad!r}")
+    report.add("action-compatible", bad is None, f"(g,h,m)={bad!r}")
 
     # identity axiom: m |> G0 = m
     identity_coset = space.coset(space.group.identity())
     bad = next((m for m in pts if space.semi_action(m, identity_coset) != m), None)
-    add("semiaction-identity", bad is None, f"m={bad!r}")
+    report.add("semiaction-identity", bad is None, f"m={bad!r}")
 
     # representative independence
     bad = None
@@ -322,7 +348,7 @@ def verify_axioms(
                 break
         if bad:
             break
-    add("representative-independence", bad is None, f"(m,coset,g0)={bad!r}")
+    report.add("representative-independence", bad is None, f"(m,coset,g0)={bad!r}")
 
     # defect axiom: for each (m,g) some g0 works for all sampled cosets
     bad = None
@@ -343,7 +369,7 @@ def verify_axioms(
                 break
         if bad:
             break
-    add("semiaction-defect", bad is None, f"(m,g)={bad!r}")
+    report.add("semiaction-defect", bad is None, f"(m,g)={bad!r}")
 
     # semi-commutation with the left action
     bad = None
@@ -364,22 +390,11 @@ def verify_axioms(
                 break
         if bad:
             break
-    add("semi-commutation", bad is None, f"(m,g)={bad!r}")
+    report.add("semi-commutation", bad is None, f"(m,g)={bad!r}")
 
     # freeness: m |> . is injective on the sampled cosets
-    bad = None
-    for m in pts[:12]:
-        seen: dict = {}
-        for c in coset_sample:
-            v = space.semi_action(m, c)
-            k = point_key(v)
-            if k in seen and seen[k] != c.key:
-                bad = (m, c)
-                break
-            seen[k] = c.key
-        if bad:
-            break
-    add("semiaction-free", bad is None, f"(m,coset)={bad!r}")
+    bad = semiaction_collision(space, pts, coset_sample)
+    report.add("semiaction-free", bad is None, f"(m,coset)={bad!r}")
 
     # transitivity via the coordinate witness coset
     bad = None
@@ -388,9 +403,22 @@ def verify_axioms(
         if space.semi_action(m, witness) != mp:
             bad = (m, mp)
             break
-    add("semiaction-transitive", bad is None, f"(m,m')={bad!r}")
+    report.add("semiaction-transitive", bad is None, f"(m,m')={bad!r}")
 
     return report
+
+
+def semiaction_collision(space: CellSpace, pts: Sequence, coset_sample: Sequence[Coset]):
+    """The first (m, coset), over the first 12 points, where ``m |> .`` sends
+    the coset to the image of an earlier, different sampled coset; else None."""
+    for m in pts[:12]:
+        seen: dict = {}
+        for c in coset_sample:
+            k = point_key(space.semi_action(m, c))
+            if k in seen and seen[k] != c.key:
+                return (m, c)
+            seen[k] = c.key
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +460,6 @@ class FiniteSpace(CellSpace):
     def points(self) -> list:
         return list(self._points)
 
-    def full_window(self, note: str = "full") -> Window:
-        pts = tuple(self._points)
-        return Window(pts, pts, note)
-
 
 class GroupAsSpace(CellSpace):
     """M = G acting on itself by left multiplication; g_{e,g} = g.
@@ -471,18 +495,7 @@ class GroupAsSpace(CellSpace):
         if halo_radius < core_radius:
             raise ConstructionError("halo radius must be at least the core radius")
         if isinstance(self.group, FreeAbelianGroup):
-            d = self.group.d
-
-            def box(r):
-                return tuple(
-                    self.group.element(v)
-                    for v in itertools.product(range(-r, r + 1), repeat=d)
-                )
-
-            return Window(
-                box(core_radius), box(halo_radius),
-                f"box r={core_radius}, halo r={halo_radius}",
-            )
+            return box_window(self.group, core_radius, halo_radius)
         halo = tuple(self.group.ball(halo_radius))
         core = tuple(self.group.ball(core_radius))
         return Window(core, halo, f"ball r={core_radius}, halo r={halo_radius}")
@@ -549,28 +562,9 @@ class SemidirectCellSpace(CellSpace):
         """Sup-norm boxes for a lattice H-space, else orbit balls."""
         hs = self.h_space
         if isinstance(hs.group, FreeAbelianGroup) and isinstance(hs, GroupAsSpace):
-            d = hs.group.d
-
-            def box(r):
-                return tuple(
-                    hs.group.element(v)
-                    for v in itertools.product(range(-r, r + 1), repeat=d)
-                )
-
-            return Window(
-                box(core_radius), box(halo_radius),
-                f"box r={core_radius}, halo r={halo_radius}",
-            )
-        halo = tuple(
-            sorted(
-                {hs.left_action(g, hs.m0) for g in hs.group.ball(halo_radius)},
-                key=point_key,
-            )
+            return box_window(hs.group, core_radius, halo_radius)
+        return Window(
+            hs.orbit_ball(core_radius),
+            hs.orbit_ball(halo_radius),
+            f"orbit ball r={core_radius}, halo r={halo_radius}",
         )
-        core = tuple(
-            sorted(
-                {hs.left_action(g, hs.m0) for g in hs.group.ball(core_radius)},
-                key=point_key,
-            )
-        )
-        return Window(core, halo, f"orbit ball r={core_radius}, halo r={halo_radius}")

@@ -27,12 +27,13 @@ from .groups import (
 from .measures import FAMeasure
 from .spaces import (
     CellSpace,
-    CheckResult,
+    CheckReport,
     Coset,
     FiniteSpace,
     GroupAsSpace,
     SemidirectCellSpace,
     Window,
+    semiaction_collision,
 )
 
 
@@ -74,18 +75,10 @@ def subgroup_sample(
 
 
 @dataclass
-class TransferReport:
+class TransferReport(CheckReport):
     space_name: str
     subgroup: str
-    checks: list = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.ok]
 
 
 def check_transfer_conditions(
@@ -103,19 +96,14 @@ def check_transfer_conditions(
     if sample is None:
         if not space.is_finite:
             raise ConstructionError("an infinite space needs an explicit sample window")
-        pts = tuple(space.points())
-        sample = Window(pts, pts, "full")
+        sample = space.full_window()
     pts = list(sample.core)
     if coset_sample is None:
         coset_sample = [space.coset(g) for g in space.group.ball(2)]
 
-    def add(name: str, ok: bool, witness: Optional[str] = None) -> None:
-        report.checks.append(CheckResult(name, ok, None if ok else witness))
-
     # G = G0 H on a sample of G
     g_sample = space.group.elements() if space.group.is_finite else space.group.ball(2)
     h_payloads = {h.payload for h in H.elements}
-    g0_payloads = {g0.payload for g0 in space.stabilizer}
     bad = None
     for g in g_sample:
         if not any(
@@ -123,12 +111,12 @@ def check_transfer_conditions(
         ):
             bad = g
             break
-    add("factorization-G0H", bad is None, f"g={bad!r}")
+    report.add("factorization-G0H", bad is None, f"g={bad!r}")
 
     # restricted H-action transitive on the sample
     orbit = {space.left_action(h, space.m0) for h in H.elements}
     missing = next((m for m in pts if m not in orbit), None)
-    add("h-action-transitive", missing is None, f"m={missing!r}")
+    report.add("h-action-transitive", missing is None, f"m={missing!r}")
 
     # restricted H-action free on the sample
     bad = None
@@ -140,7 +128,7 @@ def check_transfer_conditions(
         if fix is not None:
             bad = (h, fix)
             break
-    add("h-action-free", bad is None, f"(h,m)={bad!r}")
+    report.add("h-action-free", bad is None, f"(h,m)={bad!r}")
 
     # coordinates lie in the centre of H
     bad = None
@@ -153,21 +141,11 @@ def check_transfer_conditions(
         if clash is not None:
             bad = (m, clash)
             break
-    add("coordinates-central", bad is None, f"(m,witness)={bad!r}")
+    report.add("coordinates-central", bad is None, f"(m,witness)={bad!r}")
 
     # injectivity of m |> . on the sampled cosets
-    bad = None
-    for m in pts[:12]:
-        seen: dict = {}
-        for c in coset_sample:
-            v = space.semi_action(m, c)
-            if v in seen and seen[v] != c.key:
-                bad = (m, c)
-                break
-            seen[v] = c.key
-        if bad:
-            break
-    add("semiaction-injective", bad is None, f"(m,coset)={bad!r}")
+    bad = semiaction_collision(space, pts, coset_sample)
+    report.add("semiaction-injective", bad is None, f"(m,coset)={bad!r}")
 
     if report.passed:
         for c in coset_sample:

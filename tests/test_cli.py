@@ -2,6 +2,15 @@ import json
 
 import pytest
 
+from cellspaces import (
+    Decomposition,
+    ExpansionSet,
+    canonical_free_decomposition,
+    decomposition_from_json,
+    decomposition_to_json,
+    space_by_name,
+    verify_decomposition,
+)
 from cellspaces.cli import main
 
 
@@ -24,8 +33,9 @@ def test_unknown_command_exits_1(tmp_path):
     assert run(["frobnicate", "--config", cfg]) == 1
 
 
-def test_bad_space_exits_1(tmp_path):
-    cfg = write(tmp_path, "c.json", {"space": {"name": "affine:6"}})
+@pytest.mark.parametrize("name", ["affine:6", "zd:0", "zd:-1", "hyperoct:0"])
+def test_bad_space_exits_1(tmp_path, name):
+    cfg = write(tmp_path, "c.json", {"space": {"name": name}})
     assert run(["describe", "--config", cfg]) == 1
 
 
@@ -60,25 +70,6 @@ def test_ratios_csv_is_deterministic_and_correct(tmp_path):
     lines = [l for l in out1.read_text().splitlines() if not l.startswith("#")]
     rows = list(csv.DictReader(lines))
     assert [r["ratio_out"] for r in rows] == [f"1/{n}" for n in range(1, 9)]
-
-
-def test_parallel_ratios_match_sequential(tmp_path):
-    cfg = write(
-        tmp_path,
-        "r.json",
-        {
-            "space": {"name": "zd:2"},
-            "window": {"core_radius": 5, "halo_radius": 6},
-            "E": [[1, 0], [0, 1]],
-            "family": {"kind": "boxes", "sizes": [2, 3, 4]},
-        },
-    )
-    seq, par = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert run(["ratios", "--config", cfg, "--format", "csv", "--out", str(seq)]) == 0
-    assert run(
-        ["ratios", "--config", cfg, "--format", "csv", "--out", str(par), "--parallel"]
-    ) == 0
-    assert seq.read_bytes() == par.read_bytes()
 
 
 def test_doubling_failure_exits_2_with_witness(tmp_path):
@@ -187,3 +178,57 @@ def test_folner_search_command(tmp_path):
     assert run(["folner-search", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["result"]["found"] == "box:5"
+
+
+def _hyperoct_decomposition(space):
+    """A decomposition on hyperoct:2 (it need not verify); its coset keys
+    serialise as nested lists."""
+    sd = space.sd
+    g0 = sd.G0.elements()
+    E = ExpansionSet.of(
+        [space.coset(sd.pair(g0[i], sd.H.element(v))) for i, v in ((0, (0, 0)), (3, (1, 0)), (5, (0, -1)))]
+    )
+    window = space.ball_window(2, 3)
+    keys = [e.key for e in E]
+    A = {k: window.core[i::3] for i, k in enumerate(keys)}
+    B = {k: window.core if i == 0 else () for i, k in enumerate(keys)}
+    D = Decomposition(E=E, A=A, B=B, scope=window)
+    return D, decomposition_to_json(space, D)
+
+
+def _unreduced_free_decomposition(space):
+    """The closed-form free:2 decomposition, written with the identity coset
+    as the unreduced word [1, -1] and one point as [1, 2, -2]."""
+    D = canonical_free_decomposition(space, space.ball_window(2, 3))
+    data = json.loads(json.dumps(decomposition_to_json(space, D)))
+    data["E"] = [k or [1, -1] for k in data["E"]]
+    for family in (data["A"], data["B"]):
+        for row in family:
+            row[0] = row[0] or [1, -1]
+            row[1] = [{"g": [1, 2, -2]} if p == {"g": [1]} else p for p in row[1]]
+    return D, data
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [("hyperoct:2", _hyperoct_decomposition), ("free:2", _unreduced_free_decomposition)],
+    ids=["hyperoct2-nested-keys", "free2-unreduced-words"],
+)
+def test_decomposition_file_round_trip(tmp_path, name, make):
+    space = space_by_name(name)
+    D, data = make(space)
+    data = json.loads(json.dumps(data))
+    back = decomposition_from_json(space, data)
+    assert back.E == D.E
+    assert list(back.pieces()) == list(D.pieces())
+    assert back.scope == D.scope
+
+    dec = tmp_path / "dec.json"
+    dec.write_text(json.dumps(data))
+    cfg = write(tmp_path, "v.json", {"space": {"name": name}, "decomposition": str(dec)})
+    out = tmp_path / "v.out.json"
+    report = verify_decomposition(space, D)
+    code = run(["verify-decomposition", "--config", cfg, "--out", str(out)])
+    assert code == (0 if report.passed else 2)
+    checks = json.loads(out.read_text())["result"]["checks"]
+    assert checks == [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks]

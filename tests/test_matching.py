@@ -1,6 +1,7 @@
 import random
 
 from cellspaces import HaremMatching, HaremViolation, solve_harem
+import harem_reference
 from oracles import perfect_harem_exists
 
 
@@ -108,3 +109,44 @@ def test_random_sweep_agrees_with_backtracking_oracle():
             check_matching(n_left, n_right, adjacency, 2, outcome)
         else:
             check_violation(n_left, n_right, adjacency, 2, outcome)
+
+
+def _random_instance(rng):
+    """A random harem instance: about half carry a planted (1,k)-matching,
+    so both feasible and infeasible graphs occur at every size."""
+    k = rng.choice([1, 2, 3])
+    n_left = rng.randint(1, 150) if rng.random() < 0.05 else rng.randint(1, 12)
+    n_right = k * n_left if rng.random() < 0.7 else rng.randint(0, k * n_left + 3)
+    degree = rng.randint(0, 2 * k + 2)
+    adjacency = [set(rng.sample(range(n_right), min(degree, n_right))) for _ in range(n_left)]
+    if rng.random() < 0.5:
+        order = list(range(n_right))
+        rng.shuffle(order)
+        for i, y in enumerate(order[: k * n_left]):
+            adjacency[i // k].add(y)
+    right_required = None
+    if rng.random() < 0.5:
+        p = rng.random()
+        right_required = [rng.random() < p for _ in range(n_right)]
+    return n_left, n_right, [sorted(a) for a in adjacency], k, right_required
+
+
+def test_merged_solver_matches_two_network_reference():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(2000):
+        n_left, n_right, adjacency, k, right_required = _random_instance(rng)
+        got = solve_harem(n_left, n_right, adjacency, k, right_required=right_required)
+        want = harem_reference.solve_harem(
+            n_left, n_right, adjacency, k, right_required=right_required
+        )
+        assert got == want, (n_left, n_right, adjacency, k, right_required)
+        outcomes.add((type(got), right_required is None, n_left > 100))
+    assert len(outcomes) == 8
+
+
+def test_long_augmenting_path_does_not_recurse():
+    n = 600
+    adjacency = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+    outcome = solve_harem(n, n, adjacency, 1)
+    check_matching(n, n, adjacency, 1, outcome)
