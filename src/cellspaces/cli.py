@@ -274,15 +274,31 @@ def _cmd_doubling(space: CellSpace, cfg: dict):
     return 2, payload, {"failing_sets": [v["set_id"] for v in verdicts if not v["passed"]]}
 
 
+def _graph_block(g: dict) -> tuple[int, int, list]:
+    """(left size, right size, sorted adjacency) of an explicit graph block."""
+    nx, ny = int(g["left"]), int(g["right"])
+    if nx < 0 or ny < 0:
+        raise ConfigError(f"graph sizes must be non-negative, got left={nx}, right={ny}")
+    adj: list[set] = [set() for _ in range(nx)]
+    for edge in g["edges"]:
+        if not (
+            isinstance(edge, list)
+            and len(edge) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in edge)
+        ):
+            raise ConfigError(f"graph edge {edge!r} is not a pair of integers")
+        x, y = edge
+        if not (0 <= x < nx and 0 <= y < ny):
+            raise ConfigError(f"graph edge {edge!r} out of range for left={nx}, right={ny}")
+        adj[x].add(y)
+    return nx, ny, [sorted(a) for a in adj]
+
+
 def _cmd_harem(space: Optional[CellSpace], cfg: dict):
     k = int(cfg.get("k", 2))
     if "graph" in cfg:
-        g = cfg["graph"]
-        nx, ny = int(g["left"]), int(g["right"])
-        adj: list[list[int]] = [[] for _ in range(nx)]
-        for x, y in g["edges"]:
-            adj[int(x)].append(int(y))
-        outcome = solve_harem(nx, ny, [sorted(set(a)) for a in adj], k)
+        nx, ny, adj = _graph_block(cfg["graph"])
+        outcome = solve_harem(nx, ny, adj, k)
         names_left = list(range(nx))
         names_right = list(range(ny))
     else:

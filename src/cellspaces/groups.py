@@ -36,10 +36,12 @@ class GroupElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.group.signature == other.group.signature and self.payload == other.payload
+        return self.payload == other.payload and (
+            self.group is other.group or self.group.signature == other.group.signature
+        )
 
     def __hash__(self) -> int:
-        return hash((self.group.signature, self.payload))
+        return self.group._hash_payload(self.payload)
 
     def __lt__(self, other: "GroupElement") -> bool:
         return self.payload < other.payload
@@ -49,9 +51,14 @@ class GroupElement:
 
 
 class Group:
-    """Base class: payload-level operations are supplied by subclasses."""
+    """Base class: payload-level operations are supplied by subclasses.
+
+    Each backend sets ``signature`` in its constructor: groups with equal
+    signatures share their elements.
+    """
 
     backend: str = "?"
+    signature: tuple
 
     # -- payload-level ops ------------------------------------------------
     def _identity(self) -> Payload:
@@ -63,11 +70,17 @@ class Group:
     def _inv(self, a: Payload) -> Payload:
         raise NotImplementedError
 
-    # -- element-level API -------------------------------------------------
-    @property
-    def signature(self) -> tuple:
-        raise NotImplementedError
+    def _hash_payload(self, a: Payload) -> int:
+        """Element hash; it may read the payload only, so that equal elements
+        of separately built groups hash alike."""
+        return hash(a)
 
+    def _symmetric_payloads(self) -> list[Payload]:
+        """The declared generators, then the inverses not among them."""
+        gens = self._generator_payloads()
+        return gens + [self._inv(p) for p in gens if self._inv(p) not in gens]
+
+    # -- element-level API -------------------------------------------------
     @property
     def generators(self) -> list[GroupElement]:
         """Declared generating set, in configured order."""
@@ -92,7 +105,7 @@ class Group:
         return GroupElement(self, self._identity())
 
     def _check(self, g: GroupElement) -> None:
-        if g.group.signature != self.signature:
+        if g.group is not self and g.group.signature != self.signature:
             raise BackendMismatchError(
                 f"element of {g.group.backend}{g.group.signature} used in "
                 f"{self.backend}{self.signature}"
@@ -115,8 +128,7 @@ class Group:
         """
         if r < 0:
             raise ValueError("radius must be non-negative")
-        gens = list(self._generator_payloads())
-        gens += [self._inv(p) for p in gens if self._inv(p) not in gens]
+        gens = self._symmetric_payloads()
         out = [self._identity()]
         seen = {self._identity()}
         frontier = list(out)
@@ -158,10 +170,7 @@ class PermutationGroup(Group):
             if sorted(g) != list(range(n)):
                 raise ConstructionError(f"not a bijection on 0..{n - 1}: {g}")
         self._gens = gens
-
-    @property
-    def signature(self) -> tuple:
-        return ("perm", self.n)
+        self.signature = ("perm", n)
 
     def _generator_payloads(self) -> list[Payload]:
         return list(self._gens)
@@ -209,10 +218,7 @@ class SignedPermutationGroup(Group):
         if d < 1:
             raise ConstructionError("signed permutations need at least one coordinate")
         self.d = d
-
-    @property
-    def signature(self) -> tuple:
-        return ("signedperm", self.d)
+        self.signature = ("signedperm", d)
 
     def _identity(self) -> Payload:
         return tuple(range(1, self.d + 1))
@@ -268,10 +274,7 @@ class FreeAbelianGroup(Group):
         if d < 1:
             raise ConstructionError("Z^d needs at least one dimension")
         self.d = d
-
-    @property
-    def signature(self) -> tuple:
-        return ("zd", self.d)
+        self.signature = ("zd", d)
 
     def _identity(self) -> Payload:
         return (0,) * self.d
@@ -313,17 +316,18 @@ class FreeGroup(Group):
         if k < 1:
             raise ConstructionError("free group needs at least one generator")
         self.k = k
+        self.signature = ("free", k)
 
-    @property
-    def signature(self) -> tuple:
-        return ("free", self.k)
-
-    def word(self, letters: Iterable[int]) -> GroupElement:
-        w = reduce_word(letters)
-        for x in w:
+    def word(self, letters: Sequence[int]) -> GroupElement:
+        """The reduced word of a list or tuple of signed letters ±1..±k."""
+        if not isinstance(letters, (list, tuple)):
+            raise ConstructionError(f"a word must be a list of letters, got {letters!r}")
+        for x in letters:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ConstructionError(f"letter {x!r} is not an integer")
             if x == 0 or abs(x) > self.k:
                 raise ConstructionError(f"letter {x} out of range for F_{self.k}")
-        return GroupElement(self, w)
+        return GroupElement(self, reduce_word(letters))
 
     def _identity(self) -> Payload:
         return ()
@@ -336,10 +340,20 @@ class FreeGroup(Group):
         return out
 
     def _mul(self, a: Payload, b: Payload) -> Payload:
-        return reduce_word(itertools.chain(a, b))
+        # a and b are reduced, so letters cancel only where they meet
+        n = 0
+        top = min(len(a), len(b))
+        while n < top and a[-1 - n] == -b[n]:
+            n += 1
+        return a[: len(a) - n] + b[n:]
 
     def _inv(self, a: Payload) -> Payload:
         return tuple(-x for x in reversed(a))
+
+    def _hash_payload(self, a: Payload) -> int:
+        # CPython hashes -1 like -2; moving each negative letter x to x - 1
+        # is injective and avoids -1, so distinct words rarely collide
+        return hash(tuple([x - 1 if x < 0 else x for x in a]))
 
     def describe_element(self, payload: Payload) -> str:
         if not payload:
@@ -365,11 +379,8 @@ class SemidirectProduct(Group):
         self.H = h_group
         self.tau = dict(tau)
         self._hgens = h_group.positive_generators()
+        self.signature = ("semidirect", g0_group.signature, h_group.signature)
         self._validate()
-
-    @property
-    def signature(self) -> tuple:
-        return ("semidirect", self.G0.signature, self.H.signature)
 
     def tau_apply(self, g0_payload: Payload, h: GroupElement) -> GroupElement:
         """tau(g0) applied to an arbitrary H element."""

@@ -54,7 +54,9 @@ class WeightVector:
         if set(universe.core) != set(universe.halo):
             raise ConstructionError("measure universes must have core == halo")
         self.universe = universe
-        self.weights = {m: Fraction(w) for m, w in weights.items()}
+        self.weights = {
+            m: w if isinstance(w, Fraction) else Fraction(w) for m, w in weights.items()
+        }
         for m in self.weights:
             if m not in universe.core_set:
                 raise ScopeMismatchError(f"weight at {m!r} outside the universe")
@@ -78,8 +80,9 @@ class FAMeasure(WeightVector):
 
     @classmethod
     def uniform(cls, universe: Window) -> "FAMeasure":
-        n = len(universe.core)
-        return cls(universe, {m: Fraction(1, n) for m in universe.core})
+        # one shared weight object; an empty universe fails the sum check
+        w = Fraction(1, max(len(universe.core), 1))
+        return cls(universe, dict.fromkeys(universe.core, w))
 
     @classmethod
     def point_mass(cls, universe: Window, m) -> "FAMeasure":

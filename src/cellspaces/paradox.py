@@ -233,11 +233,11 @@ def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionRep
     )
 
     bad = None
+    piece_sets = [(e, set(piece)) for _, e, piece in D.pieces()]
     for m in interior:
         count = 0
-        for label, e, piece in D.pieces():
+        for e, piece_set in piece_sets:
             fiber = space.exact_preimage_point(e, m)
-            piece_set = set(piece)
             count += sum(1 for p in fiber if p in piece_set)
         if count != 1:
             bad = (m, count)

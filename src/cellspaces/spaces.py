@@ -171,10 +171,26 @@ class CellSpace:
         raise NotImplementedError(f"{self.name} has infinitely many points")
 
     def orbit_ball(self, r: int) -> tuple:
-        """The points g . m0 for g in the group's ball of radius r, sorted."""
-        return tuple(
-            sorted({self.left_action(g, self.m0) for g in self.group.ball(r)}, key=point_key)
-        )
+        """The points g . m0 for g in the group's ball of radius r, sorted.
+
+        They are the points r steps of ``m -> s . m`` reach from m0, s a
+        generator or its inverse, so the search walks points, not elements.
+        """
+        if r < 0:
+            raise ValueError("radius must be non-negative")
+        gens = [self.group.element(p) for p in self.group._symmetric_payloads()]
+        seen = {self.m0}
+        frontier = [self.m0]
+        for _ in range(r):
+            nxt = []
+            for m in frontier:
+                for s in gens:
+                    q = self.left_action(s, m)
+                    if q not in seen:
+                        seen.add(q)
+                        nxt.append(q)
+            frontier = nxt
+        return tuple(sorted(seen, key=point_key))
 
     def full_window(self, note: str = "full") -> Window:
         """All points of a finite space, as both core and halo."""
@@ -211,16 +227,17 @@ class CellSpace:
 
     def preimage(self, coset: Coset, A: Sequence, universe: Window) -> PreimageResult:
         halo = universe.halo_set
-        if not set(A) <= halo:
+        targets = set(A)
+        if not targets <= halo:
             raise ScopeMismatchError("A must be contained in the window halo")
-        exact = self._exact_preimage_set(coset, A)
+        exact = self._exact_preimage_set(coset, targets)
         if exact is None:
             pts = sorted(
-                (m for m in universe.halo if self.semi_action(m, coset) in set(A)),
+                (m for m in universe.halo if self.semi_action(m, coset) in targets),
                 key=point_key,
             )
             return PreimageResult(tuple(pts), certified=False)
-        bound = len(self.stabilizer) * len(set(A))
+        bound = len(self.stabilizer) * len(targets)
         if len(exact) > bound:
             raise IntegrityError(
                 f"preimage size {len(exact)} exceeds |G0|*|A| = {bound}; "
@@ -230,9 +247,9 @@ class CellSpace:
         pts = sorted((m for m in exact if m in halo), key=point_key)
         return PreimageResult(tuple(pts), certified=certified)
 
-    def _exact_preimage_set(self, coset: Coset, A: Sequence) -> Optional[set]:
+    def _exact_preimage_set(self, coset: Coset, targets: set) -> Optional[set]:
         out = set()
-        for a in set(A):
+        for a in targets:
             pre = self.exact_preimage_point(coset, a)
             if pre is None:
                 return None

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cellspaces
 from cellspaces import (
     Decomposition,
     ExpansionSet,
@@ -140,6 +144,55 @@ def test_harem_explicit_graph(tmp_path):
     assert run(["harem", "--config", bad, "--out", str(out)]) == 2
     witness = json.loads((tmp_path / "h.json.witness.json").read_text())
     assert witness["witness"]["side"] in ("left", "right")
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"left": 2, "right": 4, "edges": [[0, 0], [0, 1], [-1, 2], [-1, 3]]},
+        {"left": 2, "right": 4, "edges": [[0, 0], [0, 1], [2, 2], [2, 3]]},
+        {"left": 2, "right": 4, "edges": [[0, 0], [0, 4], [1, 2], [1, 3]]},
+        {"left": 2, "right": 4, "edges": [[0, 0], [0, 1], [1, "2"], [1, 3]]},
+        {"left": 2, "right": 4, "edges": [[0, 0], [0, 1], [1, 2, 3]]},
+        {"left": -1, "right": 2, "edges": []},
+    ],
+    ids=[
+        "negative-index",
+        "x-out-of-range",
+        "y-out-of-range",
+        "string-index",
+        "triple",
+        "negative-size",
+    ],
+)
+def test_harem_rejects_bad_graph_block(tmp_path, capsys, graph):
+    cfg = write(tmp_path, "g.json", {"graph": graph, "k": 2})
+    assert run(["harem", "--config", cfg]) == 1
+    assert "graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "E",
+    [[["a"]], [[1.5]], [[True]], ["ab"], [1]],
+    ids=["string-letter", "float-letter", "bool-letter", "string-word", "int-word"],
+)
+def test_bad_free_group_letters_exit_1(tmp_path, E):
+    cfg = write(
+        tmp_path,
+        "c.json",
+        {"space": {"name": "free:2"}, "window": {"core_radius": 1, "halo_radius": 2}, "E": E},
+    )
+    src = os.path.dirname(os.path.dirname(cellspaces.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellspaces.cli", "paradox", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_measures_and_transfer_commands(tmp_path):

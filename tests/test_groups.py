@@ -45,8 +45,36 @@ def test_free_group_ball_sizes():
 
 
 def test_free_group_rejects_bad_letters():
-    with pytest.raises(ConstructionError):
-        FreeGroup(2).word([3])
+    bad = [[3], [0], [1, 3, -3], ["a"], [1.5], [True], [None], "ab", 1, None, {1: 2}]
+    for letters in bad:
+        with pytest.raises(ConstructionError):
+            FreeGroup(2).word(letters)
+
+
+def test_free_group_ball_hashes_are_distinct():
+    # CPython hashes -1 like -2, so hashing raw words would pair them up
+    ball = FreeGroup(2).ball(8)
+    assert len(ball) == 13121
+    assert len({hash(g) for g in ball}) == len(ball)
+
+
+reduced_words = letters.map(reduce_word)
+
+
+@given(reduced_words, reduced_words)
+def test_free_group_mul_cancels_at_the_junction(a, b):
+    assert FreeGroup(3)._mul(a, b) == reduce_word(a + b)
+
+
+def test_separately_built_groups_share_elements():
+    g1, g2 = FreeGroup(2), FreeGroup(2)
+    a, b = g1.word([1, -2]), g2.word([1, -2])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert (a * g2.word([2])).payload == (1,)
+    assert g2.word([2, -1]) * a == g1.identity()
+    z1, z2 = FreeAbelianGroup(2), FreeAbelianGroup(2)
+    assert z1.element((1, 2)) * z2.element((0, -2)) == z2.element((1, 0))
 
 
 def test_ball_enumeration_is_deterministic():

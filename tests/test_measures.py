@@ -138,3 +138,11 @@ def test_empirical_mean_defect_bound_holds():
         )
         defect, bound = empirical_mean_defect(sp, F, coset, f, w)
         assert defect <= bound
+
+
+def test_uniform_measure_shares_one_weight():
+    universe = space_by_name("free:2").ball_window(3, 3)
+    mu = FAMeasure.uniform(universe)
+    weights = [mu.weight(m) for m in universe.core]
+    assert all(w == Fraction(1, len(universe.core)) for w in weights)
+    assert len({id(w) for w in weights}) == 1

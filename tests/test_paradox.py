@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from cellspaces import (
     two_to_one_from_matching,
     verify_decomposition,
 )
+from cellspaces.groups import GroupElement
 
 
 def free2():
@@ -145,3 +147,26 @@ def test_malformed_json_is_rejected():
 def test_no_decomposition_on_tiny_finite_spaces():
     for q in (2, 3):
         assert search_decompositions(affine_space(q), max_expansion=2) is None
+
+
+def test_verify_hashes_grow_linearly(monkeypatch):
+    """Element hashes inside ``verify_decomposition`` grow at most like
+    n^1.2 in the core size n, from core radius 4 to 6."""
+    sizes, counts = [], []
+    for r in (4, 5, 6):
+        sp, _, w, _, _, D = run_pipeline(r, r + 1)
+        calls = [0]
+        original = GroupElement.__hash__
+
+        def counted(self, original=original, calls=calls):
+            calls[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(GroupElement, "__hash__", counted)
+        assert verify_decomposition(sp, D).passed
+        monkeypatch.undo()
+        sizes.append(len(w.core))
+        counts.append(calls[0])
+    for i in range(len(sizes) - 1):
+        growth = math.log(counts[i + 1] / counts[i]) / math.log(sizes[i + 1] / sizes[i])
+        assert growth <= 1.2, (sizes, counts)

@@ -15,6 +15,7 @@ from cellspaces import (
     space_by_name,
     verify_axioms,
 )
+from cellspaces.spaces import point_key
 
 
 def test_coset_equality_ignores_representative():
@@ -166,3 +167,13 @@ def test_semidirect_space_matches_sign_flip_example():
     m = lattice.group.element((4,))
     assert sp.left_action(g, m).payload == (-1,)
     assert len(sp.stabilizer) == 2
+
+
+@pytest.mark.parametrize("name", ["hyperoct:2", "free:2", "zd:2", "affine:5"])
+def test_orbit_ball_matches_the_group_ball(name):
+    sp = space_by_name(name)
+    for r in range(6):
+        reference = sorted({sp.left_action(g, sp.m0) for g in sp.group.ball(r)}, key=point_key)
+        assert list(sp.orbit_ball(r)) == reference
+    with pytest.raises(ValueError):
+        sp.orbit_ball(-1)
