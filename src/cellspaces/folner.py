@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConstructionError
-from .spaces import CellSpace, Coset, Window
+from .spaces import CellSpace, Coset, ExpansionSet, Window
 
 
 @dataclass(frozen=True)
@@ -31,30 +31,6 @@ class RatioRecord:
     ratio_out: Fraction
     ratio_in: Fraction
     certified: bool
-
-
-@dataclass(frozen=True)
-class ExpansionSet:
-    """A finite set of cosets, tracked with its identity-coset membership."""
-
-    cosets: tuple
-
-    @property
-    def contains_identity(self) -> bool:
-        return any(c.is_identity for c in self.cosets)
-
-    def __iter__(self):
-        return iter(self.cosets)
-
-    def __len__(self) -> int:
-        return len(self.cosets)
-
-    @staticmethod
-    def of(cosets: Sequence[Coset]) -> "ExpansionSet":
-        out: dict = {}
-        for c in cosets:
-            out.setdefault(c.key, c)
-        return ExpansionSet(tuple(out[k] for k in sorted(out)))
 
 
 def ratios(
@@ -165,13 +141,9 @@ def doubling_from_failure(
 def _compose_sets(space: CellSpace, E: ExpansionSet, E2: ExpansionSet) -> ExpansionSet:
     # point-independent form: all representatives, so the result dominates the
     # per-point composed set of every m
-    out: dict = {}
-    for e in E:
-        for g in e.representatives():
-            for ep in E2:
-                c = space.coset(g * ep.rep)
-                out.setdefault(c.key, c)
-    return ExpansionSet(tuple(out[k] for k in sorted(out)))
+    return ExpansionSet.of(
+        space.coset(g * ep.rep) for e in E for g in e.representatives() for ep in E2
+    )
 
 
 @dataclass(frozen=True)

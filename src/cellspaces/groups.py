@@ -11,7 +11,8 @@ ordered, which keeps every enumeration in the package deterministic.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import BackendMismatchError, ConstructionError
 
@@ -48,6 +49,32 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"<{self.group.backend} {self.group.describe_element(self.payload)}>"
+
+
+def bfs_layers(
+    start: Hashable, step: Callable[[Hashable], Iterable], radius: Optional[int] = None
+) -> list[list]:
+    """Breadth-first layers from ``start``: ``[start]``, then the nodes first
+    reached after each further step, each layer in discovery order.
+
+    ``step(node)`` gives a node's neighbours. The walk stops after ``radius``
+    steps, or, when ``radius`` is None, once a step reaches nothing new.
+    """
+    if radius is not None and radius < 0:
+        raise ValueError("radius must be non-negative")
+    seen = {start}
+    layers = [[start]]
+    for _ in itertools.count() if radius is None else range(radius):
+        nxt = []
+        for node in layers[-1]:
+            for q in step(node):
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        if not nxt:
+            break
+        layers.append(nxt)
+    return layers
 
 
 class Group:
@@ -126,23 +153,9 @@ class Group:
         Breadth-first with lexicographic tie-breaking, so the enumeration
         order is reproducible.
         """
-        if r < 0:
-            raise ValueError("radius must be non-negative")
         gens = self._symmetric_payloads()
-        out = [self._identity()]
-        seen = {self._identity()}
-        frontier = list(out)
-        for _ in range(r):
-            nxt: set[Payload] = set()
-            for p in frontier:
-                for s in gens:
-                    q = self._mul(p, s)
-                    if q not in seen:
-                        nxt.add(q)
-            frontier = sorted(nxt)
-            seen.update(nxt)
-            out.extend(frontier)
-        return [GroupElement(self, p) for p in out]
+        layers = bfs_layers(self._identity(), lambda p: map(self._mul, repeat(p), gens), r)
+        return [GroupElement(self, p) for layer in layers for p in sorted(layer)]
 
     @property
     def is_finite(self) -> bool:
@@ -192,18 +205,8 @@ class PermutationGroup(Group):
         return True
 
     def elements(self) -> list[GroupElement]:
-        closure = {self._identity()}
-        frontier = [self._identity()]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for s in self._gens:
-                    q = self._mul(p, s)
-                    if q not in closure:
-                        closure.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return [GroupElement(self, p) for p in sorted(closure)]
+        layers = bfs_layers(self._identity(), lambda p: map(self._mul, repeat(p), self._gens))
+        return [GroupElement(self, p) for p in sorted(itertools.chain.from_iterable(layers))]
 
 
 class SignedPermutationGroup(Group):

@@ -23,11 +23,10 @@ from .errors import (
     ScopeMismatchError,
     UncertifiedWindowError,
 )
-from .folner import ExpansionSet
-from .groups import FreeGroup, GroupElement
+from .groups import FreeGroup
 from .matching import HaremMatching, HaremViolation, solve_harem
 from .measures import FAMeasure
-from .spaces import CellSpace, CheckReport, Window, point_key
+from .spaces import CellSpace, CheckReport, ExpansionSet, Window, point_key
 
 
 @dataclass(frozen=True)
@@ -201,10 +200,9 @@ def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionRep
         pieces = [family.get(e.key, ()) for e in D.E]
         union = set().union(*[set(p) for p in pieces]) if pieces else set()
         total = sum(len(p) for p in pieces)
-        ok = union == core and total == len(core)
         report.add(
             f"partition-{label}",
-            ok,
+            union == core and total == len(core),
             f"|union|={len(union)}, total={total}, |core|={len(core)}",
         )
 
@@ -217,32 +215,22 @@ def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionRep
         images.append((f"{label}:{e.key}", img))
     report.add("piece-injectivity", bad is None, f"piece={bad!r}")
 
-    bad = None
-    for (n1, i1), (n2, i2) in itertools.combinations(images, 2):
-        if i1 & i2:
-            bad = (n1, n2, sorted(i1 & i2, key=point_key)[0])
-            break
-    report.add("images-disjoint", bad is None, f"(piece,piece,point)={bad!r}")
+    report.first("images-disjoint", "(piece,piece,point)", (
+        (n1, n2, min(i1 & i2, key=point_key))
+        for (n1, i1), (n2, i2) in itertools.combinations(images, 2)
+        if i1 & i2
+    ))
 
     covered = set().union(*[i for _, i in images]) if images else set()
-    missing = [m for m in interior if m not in covered]
-    report.add(
-        "images-cover-interior",
-        not missing,
-        f"uncovered={missing[0]!r}" if missing else None,
-    )
+    report.first("images-cover-interior", "uncovered", (m for m in interior if m not in covered))
 
-    bad = None
     piece_sets = [(e, set(piece)) for _, e, piece in D.pieces()]
-    for m in interior:
-        count = 0
-        for e, piece_set in piece_sets:
-            fiber = space.exact_preimage_point(e, m)
-            count += sum(1 for p in fiber if p in piece_set)
-        if count != 1:
-            bad = (m, count)
-            break
-    report.add("functional-identity", bad is None, f"(m,count)={bad!r}")
+    report.first("functional-identity", "(m,count)", (
+        (m, n)
+        for m in interior
+        for n in [sum(p in s for e, s in piece_sets for p in space.exact_preimage_point(e, m))]
+        if n != 1
+    ))
 
     return report
 
@@ -286,17 +274,14 @@ def canonical_free_decomposition(space: CellSpace, scope: Window) -> Decompositi
     b_inv = space.coset(group.word([-2]))
     E = ExpansionSet.of([e, a_inv, b_inv])
 
-    def payload(m) -> tuple:
-        return m.payload if isinstance(m, GroupElement) else m
-
     def in_x1(m) -> bool:
-        w = payload(m)
+        w = point_key(m)
         if not w or w[-1] == 1:
             return True
         return all(letter == -1 for letter in w)
 
     def ends_in_b(m) -> bool:
-        w = payload(m)
+        w = point_key(m)
         return bool(w) and w[-1] == 2
 
     core = list(scope.core)
@@ -328,7 +313,7 @@ def search_decompositions(
     cosets = space.cosets()
     for size in range(1, max_expansion + 1):
         for combo in itertools.combinations(cosets, size):
-            E = ExpansionSet.of(list(combo))
+            E = ExpansionSet.of(combo)
             keys = [e.key for e in E]
             for fa in itertools.product(keys, repeat=len(pts)):
                 A = _pieces(keys, pts, fa)

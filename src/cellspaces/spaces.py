@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConstructionError, IntegrityError, ScopeMismatchError
-from .groups import FreeAbelianGroup, Group, GroupElement, SemidirectProduct
+from .groups import FreeAbelianGroup, Group, GroupElement, SemidirectProduct, bfs_layers
 
 
 def point_key(m):
@@ -58,6 +59,31 @@ class Coset:
 
     def __repr__(self) -> str:
         return f"Coset({self.space.group.describe_element(self.key)})"
+
+
+@dataclass(frozen=True)
+class ExpansionSet:
+    """A finite set of cosets, tracked with its identity-coset membership."""
+
+    cosets: tuple
+
+    @property
+    def contains_identity(self) -> bool:
+        return any(c.is_identity for c in self.cosets)
+
+    def __iter__(self):
+        return iter(self.cosets)
+
+    def __len__(self) -> int:
+        return len(self.cosets)
+
+    @staticmethod
+    def of(cosets: Iterable[Coset]) -> "ExpansionSet":
+        """The distinct cosets, the first of each key kept, sorted by key."""
+        out: dict = {}
+        for c in cosets:
+            out.setdefault(c.key, c)
+        return ExpansionSet(tuple(out[k] for k in sorted(out)))
 
 
 @dataclass(frozen=True)
@@ -135,6 +161,12 @@ class CheckReport:
         """Record a check; its witness is kept only when it failed."""
         self.checks.append(CheckResult(name, ok, None if ok else witness))
 
+    def first(self, name: str, label: str, witnesses: Iterable) -> None:
+        """Record a check that passes when ``witnesses`` yields nothing and
+        otherwise fails on the first witness, written ``label=witness``."""
+        bad = next(iter(witnesses), None)
+        self.add(name, bad is None, f"{label}={bad!r}")
+
 
 @dataclass
 class AxiomReport(CheckReport):
@@ -176,21 +208,9 @@ class CellSpace:
         They are the points r steps of ``m -> s . m`` reach from m0, s a
         generator or its inverse, so the search walks points, not elements.
         """
-        if r < 0:
-            raise ValueError("radius must be non-negative")
         gens = [self.group.element(p) for p in self.group._symmetric_payloads()]
-        seen = {self.m0}
-        frontier = [self.m0]
-        for _ in range(r):
-            nxt = []
-            for m in frontier:
-                for s in gens:
-                    q = self.left_action(s, m)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return tuple(sorted(seen, key=point_key))
+        layers = bfs_layers(self.m0, lambda m: map(self.left_action, gens, repeat(m)), r)
+        return tuple(sorted(itertools.chain.from_iterable(layers), key=point_key))
 
     def full_window(self, note: str = "full") -> Window:
         """All points of a finite space, as both core and halo."""
@@ -209,12 +229,7 @@ class CellSpace:
 
     def cosets(self) -> list[Coset]:
         """All distinct cosets of G/G0 (finite groups only)."""
-        seen = {}
-        for g in self.group.elements():
-            c = Coset(self, g)
-            if c.key not in seen:
-                seen[c.key] = c
-        return [seen[k] for k in sorted(seen)]
+        return list(ExpansionSet.of(Coset(self, g) for g in self.group.elements()))
 
     # -- the right semi-action ----------------------------------------------
     def semi_action(self, m, coset: Coset):
@@ -260,29 +275,32 @@ class CellSpace:
         """A representative g of the coset with (m |> coset) |> g' = m |> g g'
         for every g' in the verification sample."""
         moved = self.semi_action(m, coset)
-        for g in coset.representatives():
-            ok = True
-            for gp in sample:
-                if self.semi_action(moved, gp) != self.semi_action(m, self.coset(g * gp.rep)):
-                    ok = False
-                    break
-            if ok:
-                return g
-        raise IntegrityError(
-            f"no undo witness for m={m!r}, coset={coset!r}: broken coordinate system"
+        undoing = (
+            g
+            for g in coset.representatives()
+            if all(
+                self.semi_action(moved, gp) == self.semi_action(m, self.coset(g * gp.rep))
+                for gp in sample
+            )
         )
+        g = next(undoing, None)
+        if g is None:
+            raise IntegrityError(
+                f"no undo witness for m={m!r}, coset={coset!r}: broken coordinate system"
+            )
+        return g
 
     def compose_expansion(
         self, m, E: Sequence[Coset], E_prime: Sequence[Coset]
     ) -> list[Coset]:
         """E'' with (m |> E) |> E' = m |> E'' and |E''| <= |E|*|E'|."""
-        out: dict = {}
-        for e in E:
-            g = self.undo_witness(m, e, E_prime)
-            for ep in E_prime:
-                c = self.coset(g * ep.rep)
-                out.setdefault(c.key, c)
-        result = [out[k] for k in sorted(out)]
+        composed = (
+            self.coset(g * ep.rep)
+            for e in E
+            for g in [self.undo_witness(m, e, E_prime)]
+            for ep in E_prime
+        )
+        result = list(ExpansionSet.of(composed))
         lhs = set(self.semi_action_set(self.semi_action_set([m], E), E_prime))
         rhs = set(self.semi_action_set([m], result))
         if lhs != rhs:
@@ -313,129 +331,95 @@ def verify_axioms(
     report = AxiomReport(space.name)
     pts = list(sample.core)
     gens = list(generator_sample) if generator_sample is not None else space.group.ball(1)
-    G0 = space.stabilizer
+    G0, m0, coset = space.stabilizer, space.m0, space.coset
+    act, semi = space.left_action, space.semi_action  # g . m and m |> c
 
     # coordinate property: g_{m0,m} . m0 = m
-    bad = next((m for m in pts if space.left_action(space.coord(m), space.m0) != m), None)
-    report.add("coordinate-property", bad is None, f"m={bad!r}")
+    report.first("coordinate-property", "m", (m for m in pts if act(space.coord(m), m0) != m))
 
     # stabilizer fixes the origin; sampled non-members do not
-    bad = next((g for g in G0 if space.left_action(g, space.m0) != space.m0), None)
-    report.add("stabilizer-fixes-origin", bad is None, f"g0={bad!r}")
+    report.first("stabilizer-fixes-origin", "g0", (g for g in G0 if act(g, m0) != m0))
     g0_payloads = {g.payload for g in G0}
-    bad = next(
-        (
-            g
-            for g in space.group.ball(2)
-            if g.payload not in g0_payloads and space.left_action(g, space.m0) == space.m0
-        ),
-        None,
+    report.first(
+        "stabilizer-complete",
+        "g",
+        (g for g in space.group.ball(2) if g.payload not in g0_payloads and act(g, m0) == m0),
     )
-    report.add("stabilizer-complete", bad is None, f"g={bad!r}")
 
     # left action axioms on samples
     e = space.group.identity()
-    bad = next((m for m in pts if space.left_action(e, m) != m), None)
-    report.add("action-identity", bad is None, f"m={bad!r}")
-    bad = None
-    for g, h in itertools.islice(itertools.product(gens, gens), 400):
-        for m in pts[:10]:
-            if space.left_action(g * h, m) != space.left_action(g, space.left_action(h, m)):
-                bad = (g, h, m)
-                break
-        if bad:
-            break
-    report.add("action-compatible", bad is None, f"(g,h,m)={bad!r}")
+    report.first("action-identity", "m", (m for m in pts if act(e, m) != m))
+    report.first("action-compatible", "(g,h,m)", (
+        (g, h, m)
+        for g, h in itertools.islice(itertools.product(gens, gens), 400)
+        for m in pts[:10]
+        if act(g * h, m) != act(g, act(h, m))
+    ))
 
     # identity axiom: m |> G0 = m
-    identity_coset = space.coset(space.group.identity())
-    bad = next((m for m in pts if space.semi_action(m, identity_coset) != m), None)
-    report.add("semiaction-identity", bad is None, f"m={bad!r}")
+    identity_coset = coset(space.group.identity())
+    report.first("semiaction-identity", "m", (m for m in pts if semi(m, identity_coset) != m))
 
     # representative independence
-    bad = None
-    for m in pts[:12]:
-        for c in coset_sample:
-            target = space.semi_action(m, c)
-            for g0 in G0:
-                if space.semi_action(m, space.coset(c.rep * g0)) != target:
-                    bad = (m, c, g0)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    report.add("representative-independence", bad is None, f"(m,coset,g0)={bad!r}")
+    report.first("representative-independence", "(m,coset,g0)", (
+        (m, c, g0)
+        for m in pts[:12]
+        for c in coset_sample
+        for target in [semi(m, c)]
+        for g0 in G0
+        if semi(m, coset(c.rep * g0)) != target
+    ))
 
     # defect axiom: for each (m,g) some g0 works for all sampled cosets
-    bad = None
-    for m in pts[:8]:
-        for g in gens:
-            moved = space.semi_action(m, space.coset(g))
-            found = False
-            for g0 in G0:
-                if all(
-                    space.semi_action(m, space.coset(g * gp.rep))
-                    == space.semi_action(moved, space.coset(g0 * gp.rep))
-                    for gp in coset_sample
-                ):
-                    found = True
-                    break
-            if not found:
-                bad = (m, g)
-                break
-        if bad:
-            break
-    report.add("semiaction-defect", bad is None, f"(m,g)={bad!r}")
+    report.first("semiaction-defect", "(m,g)", (
+        (m, g)
+        for m in pts[:8]
+        for g in gens
+        for moved in [semi(m, coset(g))]
+        if not any(
+            all(
+                semi(m, coset(g * gp.rep)) == semi(moved, coset(g0 * gp.rep))
+                for gp in coset_sample
+            )
+            for g0 in G0
+        )
+    ))
 
     # semi-commutation with the left action
-    bad = None
-    for m in pts[:8]:
-        for g in gens:
-            gm = space.left_action(g, m)
-            found = False
-            for g0 in G0:
-                if all(
-                    space.semi_action(gm, gp)
-                    == space.left_action(g, space.semi_action(m, space.coset(g0 * gp.rep)))
-                    for gp in coset_sample
-                ):
-                    found = True
-                    break
-            if not found:
-                bad = (m, g)
-                break
-        if bad:
-            break
-    report.add("semi-commutation", bad is None, f"(m,g)={bad!r}")
+    report.first("semi-commutation", "(m,g)", (
+        (m, g)
+        for m in pts[:8]
+        for g in gens
+        for gm in [act(g, m)]
+        if not any(
+            all(semi(gm, gp) == act(g, semi(m, coset(g0 * gp.rep))) for gp in coset_sample)
+            for g0 in G0
+        )
+    ))
 
     # freeness: m |> . is injective on the sampled cosets
-    bad = semiaction_collision(space, pts, coset_sample)
-    report.add("semiaction-free", bad is None, f"(m,coset)={bad!r}")
+    report.first("semiaction-free", "(m,coset)", semiaction_collisions(space, pts, coset_sample))
 
     # transitivity via the coordinate witness coset
-    bad = None
-    for m, mp in itertools.islice(itertools.product(pts, pts), 150):
-        witness = space.coset(space.coord(m).inverse() * space.coord(mp))
-        if space.semi_action(m, witness) != mp:
-            bad = (m, mp)
-            break
-    report.add("semiaction-transitive", bad is None, f"(m,m')={bad!r}")
+    report.first("semiaction-transitive", "(m,m')", (
+        (m, mp)
+        for m, mp in itertools.islice(itertools.product(pts, pts), 150)
+        if semi(m, coset(space.coord(m).inverse() * space.coord(mp))) != mp
+    ))
 
     return report
 
 
-def semiaction_collision(space: CellSpace, pts: Sequence, coset_sample: Sequence[Coset]):
-    """The first (m, coset), over the first 12 points, where ``m |> .`` sends
-    the coset to the image of an earlier, different sampled coset; else None."""
+def semiaction_collisions(space: CellSpace, pts: Sequence, coset_sample: Sequence[Coset]):
+    """The (m, coset), over the first 12 points, where ``m |> .`` sends the
+    coset to the image of an earlier, different sampled coset."""
     for m in pts[:12]:
         seen: dict = {}
         for c in coset_sample:
             k = point_key(space.semi_action(m, c))
             if k in seen and seen[k] != c.key:
-                return (m, c)
+                yield (m, c)
             seen[k] = c.key
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +506,8 @@ class SemidirectCellSpace(CellSpace):
     """Cell space over G0 x| H built from a principal left H-space.
 
     The left action is ``(g0,h) . m = h .H (tau(g0)(h_{m0,m}) .H m0)`` and the
-    coordinates are ``(e, h_{m0,m})``; the stabilizer of m0 is G0 x {e}.
+    coordinates are ``(e, h_{m0,m})``; the stabilizer of m0 is G0 x {e},
+    which construction checks on a sampled ball.
     """
 
     coordinate_rule = "g_{m0,m} = (e, h_{m0,m})"
@@ -540,6 +525,7 @@ class SemidirectCellSpace(CellSpace):
         super().__init__(sd, h_space.m0, stab)
         self.name = name
         self._check_freeness()
+        self._check_stabilizer()
 
     def _check_freeness(self) -> None:
         hs = self.h_space
@@ -552,6 +538,14 @@ class SemidirectCellSpace(CellSpace):
                     raise ConstructionError(
                         f"H-action is not free: witness (h={g!r}, m={m!r})"
                     )
+
+    def _check_stabilizer(self) -> None:
+        eh = self.sd.H._identity()
+        for g in self.sd.ball(2):
+            if (self.left_action(g, self.m0) == self.m0) != (g.payload[1] == eh):
+                raise ConstructionError(
+                    f"stabiliser of the origin is not G0 x {{e}}: witness {g!r}"
+                )
 
     def left_action(self, g: GroupElement, m):
         g0, h = self.sd.parts(g)

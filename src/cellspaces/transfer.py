@@ -10,7 +10,10 @@ which carries left invariance of a measure to right semi-invariance.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .errors import ConstructionError, ScopeMismatchError
@@ -22,6 +25,7 @@ from .groups import (
     PermutationGroup,
     SemidirectProduct,
     SignedPermutationGroup,
+    bfs_layers,
     hyperoctahedral_tau,
 )
 from .measures import FAMeasure
@@ -33,7 +37,7 @@ from .spaces import (
     GroupAsSpace,
     SemidirectCellSpace,
     Window,
-    semiaction_collision,
+    semiaction_collisions,
 )
 
 
@@ -59,18 +63,9 @@ def subgroup_sample(
     abelian: bool = False,
 ) -> SubgroupSample:
     gens = list(generators)
-    closure = {group.identity().payload: group.identity()}
-    frontier = list(closure.values())
-    for _ in range(radius):
-        nxt = []
-        for g in frontier:
-            for s in gens + [s.inverse() for s in gens]:
-                q = g * s
-                if q.payload not in closure:
-                    closure[q.payload] = q
-                    nxt.append(q)
-        frontier = nxt
-    elements = [closure[k] for k in sorted(closure)]
+    steps = gens + [s.inverse() for s in gens]
+    layers = bfs_layers(group.identity(), lambda g: map(operator.mul, repeat(g), steps), radius)
+    elements = sorted(itertools.chain.from_iterable(layers))
     return SubgroupSample(name, group, gens, member, elements, abelian)
 
 
@@ -104,48 +99,33 @@ def check_transfer_conditions(
     # G = G0 H on a sample of G
     g_sample = space.group.elements() if space.group.is_finite else space.group.ball(2)
     h_payloads = {h.payload for h in H.elements}
-    bad = None
-    for g in g_sample:
-        if not any(
-            (g0.inverse() * g).payload in h_payloads for g0 in space.stabilizer
-        ):
-            bad = g
-            break
-    report.add("factorization-G0H", bad is None, f"g={bad!r}")
+    report.first("factorization-G0H", "g", (
+        g
+        for g in g_sample
+        if not any((g0.inverse() * g).payload in h_payloads for g0 in space.stabilizer)
+    ))
 
     # restricted H-action transitive on the sample
     orbit = {space.left_action(h, space.m0) for h in H.elements}
-    missing = next((m for m in pts if m not in orbit), None)
-    report.add("h-action-transitive", missing is None, f"m={missing!r}")
+    report.first("h-action-transitive", "m", (m for m in pts if m not in orbit))
 
     # restricted H-action free on the sample
-    bad = None
     e = space.group.identity()
-    for h in H.elements:
-        if h == e:
-            continue
-        fix = next((m for m in pts if space.left_action(h, m) == m), None)
-        if fix is not None:
-            bad = (h, fix)
-            break
-    report.add("h-action-free", bad is None, f"(h,m)={bad!r}")
+    report.first("h-action-free", "(h,m)", (
+        (h, m) for h in H.elements if h != e for m in pts if space.left_action(h, m) == m
+    ))
 
     # coordinates lie in the centre of H
-    bad = None
-    for m in pts:
-        c = space.coord(m)
-        if not H.member(c):
-            bad = (m, "not in H")
-            break
-        clash = next((h for h in H.elements if c * h != h * c), None)
-        if clash is not None:
-            bad = (m, clash)
-            break
-    report.add("coordinates-central", bad is None, f"(m,witness)={bad!r}")
+    report.first("coordinates-central", "(m,witness)", (
+        (m, x)
+        for m in pts
+        for c in [space.coord(m)]
+        for x in (["not in H"] if not H.member(c) else (h for h in H.elements if c * h != h * c))
+    ))
 
     # injectivity of m |> . on the sampled cosets
-    bad = semiaction_collision(space, pts, coset_sample)
-    report.add("semiaction-injective", bad is None, f"(m,coset)={bad!r}")
+    collisions = semiaction_collisions(space, pts, coset_sample)
+    report.first("semiaction-injective", "(m,coset)", collisions)
 
     if report.passed:
         for c in coset_sample:
@@ -163,22 +143,20 @@ def inverse_pair_witness(
     which means the sufficient conditions do not actually hold here.
     """
     g0_payloads = {g0.payload for g0 in space.stabilizer}
-    for rep in coset.representatives():
-        for h in H.elements:
-            if (rep.inverse() * h.inverse()).payload not in g0_payloads:
-                continue
-            ok = True
-            for m in sample:
-                moved = space.semi_action(m, coset)
-                if space.left_action(h, moved) != m:
-                    ok = False
-                    break
-                if space.semi_action(space.left_action(h, m), coset) != m:
-                    ok = False
-                    break
-            if ok:
-                return h
-    return None
+    return next(
+        (
+            h
+            for rep in coset.representatives()
+            for h in H.elements
+            if (rep.inverse() * h.inverse()).payload in g0_payloads
+            and all(
+                space.left_action(h, space.semi_action(m, coset)) == m
+                and space.semi_action(space.left_action(h, m), coset) == m
+                for m in sample
+            )
+        ),
+        None,
+    )
 
 
 @dataclass(frozen=True)
@@ -213,19 +191,8 @@ def transfer_invariance_check(
 def build_semidirect_cellspace(
     h_space: CellSpace, g0_group: Group, tau: dict, name: str = "semidirect"
 ) -> SemidirectCellSpace:
-    """Cell space over G0 x| H from a principal left H-space; asserts that the
-    stabiliser of the origin in a sampled ball is exactly G0 x {e}."""
-    sd = SemidirectProduct(g0_group, h_space.group, tau)
-    space = SemidirectCellSpace(h_space, sd, name=name)
-    eh = sd.H._identity()
-    for g in sd.ball(2):
-        fixes = space.left_action(g, space.m0) == space.m0
-        in_g0 = g.payload[1] == eh
-        if fixes != in_g0:
-            raise ConstructionError(
-                f"stabiliser of the origin is not G0 x {{e}}: witness {g!r}"
-            )
-    return space
+    """Cell space over G0 x| H from a principal left H-space."""
+    return SemidirectCellSpace(h_space, SemidirectProduct(g0_group, h_space.group, tau), name=name)
 
 
 class _FiniteField:
