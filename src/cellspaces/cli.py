@@ -20,7 +20,7 @@ Config schema (JSON, one object)::
       "graph": {"left": 3, "right": 6, "edges": [[0, 1], ...]},  # explicit harem input
       "measure": {"kind": "uniform"},       # or {"kind": "point_mass", "at": ...}
       "decomposition": "path/to/file.json", # verify-decomposition input
-      "subgroup": "translations"            # transfer: translations | dilations | all
+      "subgroup": "translations"            # transfer: translations | dilations
     }
 
 Elements are given by payload: vectors for lattices, signed-letter words for
@@ -78,52 +78,80 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _block(cfg: dict, key: str) -> Optional[dict]:
+    """The config block under ``key``, or None when it is absent."""
+    block = cfg.get(key)
+    if block is not None and not isinstance(block, dict):
+        raise ConfigError(f"{key} block must be a JSON object, got {block!r}")
+    return block
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _natural(value, what: str) -> int:
+    """A radius, size or count: a non-negative int (JSON true is refused)."""
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _window(space: CellSpace, cfg: dict) -> Window:
-    wcfg = cfg.get("window")
+    wcfg = _block(cfg, "window")
     if wcfg is None:
         if not space.is_finite:
             raise ConfigError("infinite space needs a window block")
         return space.full_window()
-    core_r = int(wcfg["core_radius"])
-    halo_r = int(wcfg["halo_radius"])
+    if not hasattr(space, "ball_window"):
+        raise ConfigError(f"{space.name} takes no window block: its window is the whole space")
+    core_r = _natural(wcfg.get("core_radius"), "core_radius")
+    halo_r = _natural(wcfg.get("halo_radius"), "halo_radius")
     if halo_r < core_r:
         raise ConfigError("halo_radius must be at least core_radius")
     return space.ball_window(core_r, halo_r)
 
 
 def _expansion(space: CellSpace, cfg: dict) -> ExpansionSet:
-    if "E" not in cfg:
-        raise ConfigError("config needs an E block of coset representatives")
-    return ExpansionSet.of([space.coset(codec.element(space.group, d)) for d in cfg["E"]])
+    reps = _list(cfg.get("E"), "the E block of coset representatives")
+    return ExpansionSet.of([space.coset(codec.element(space.group, d)) for d in reps])
 
 
 def _family(space: CellSpace, cfg: dict) -> list:
-    fcfg = cfg.get("family")
+    fcfg = _block(cfg, "family")
     if fcfg is None:
         raise ConfigError("config needs a family block")
     kind = fcfg.get("kind")
     if kind == "full":
+        if not space.is_finite:
+            raise ConfigError("full family needs a finite space")
         return [("full", list(space.points()))]
     if kind == "boxes":
         if not isinstance(space.group, FreeAbelianGroup):
             raise ConfigError("boxes family needs a lattice space")
-        return [(f"box:{n}", box_points(space.group, 0, int(n))) for n in fcfg["sizes"]]
+        sizes = [_natural(n, "a box size") for n in _list(fcfg.get("sizes"), "sizes")]
+        return [(f"box:{n}", box_points(space.group, 0, n)) for n in sizes]
     if kind == "balls":
-        return [(f"ball:{r}", space.orbit_ball(int(r))) for r in fcfg["radii"]]
+        radii = [_natural(r, "a ball radius") for r in _list(fcfg.get("radii"), "radii")]
+        return [(f"ball:{r}", space.orbit_ball(r)) for r in radii]
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
 def _measure(space: CellSpace, universe: Window, cfg: dict) -> FAMeasure:
-    mcfg = cfg.get("measure", {"kind": "uniform"})
+    mcfg = _block(cfg, "measure") or {}
     kind = mcfg.get("kind", "uniform")
     if kind == "uniform":
         return FAMeasure.uniform(universe)
     if kind == "point_mass":
         return FAMeasure.point_mass(universe, codec.decode_point(space, mcfg["at"]))
     if kind == "weights":
+        pairs = _list(mcfg.get("weights"), "weights")
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise ConfigError(f"weights must be [point, weight] pairs, got {pairs!r}")
         return FAMeasure(
-            universe,
-            {codec.decode_point(space, p): _fraction(w) for p, w in mcfg["weights"]},
+            universe, {codec.decode_point(space, p): _fraction(w) for p, w in pairs}
         )
     raise ConfigError(f"unknown measure kind {kind!r}")
 
@@ -276,11 +304,10 @@ def _cmd_doubling(space: CellSpace, cfg: dict):
 
 def _graph_block(g: dict) -> tuple[int, int, list]:
     """(left size, right size, sorted adjacency) of an explicit graph block."""
-    nx, ny = int(g["left"]), int(g["right"])
-    if nx < 0 or ny < 0:
-        raise ConfigError(f"graph sizes must be non-negative, got left={nx}, right={ny}")
+    nx = _natural(g.get("left"), "graph size left")
+    ny = _natural(g.get("right"), "graph size right")
     adj: list[set] = [set() for _ in range(nx)]
-    for edge in g["edges"]:
+    for edge in _list(g.get("edges"), "graph edges"):
         if not (
             isinstance(edge, list)
             and len(edge) == 2
@@ -295,9 +322,10 @@ def _graph_block(g: dict) -> tuple[int, int, list]:
 
 
 def _cmd_harem(space: Optional[CellSpace], cfg: dict):
-    k = int(cfg.get("k", 2))
-    if "graph" in cfg:
-        nx, ny, adj = _graph_block(cfg["graph"])
+    k = _natural(cfg.get("k", 2), "k")
+    graph_cfg = _block(cfg, "graph")
+    if graph_cfg is not None:
+        nx, ny, adj = _graph_block(graph_cfg)
         outcome = solve_harem(nx, ny, adj, k)
         names_left = list(range(nx))
         names_right = list(range(ny))
@@ -343,7 +371,7 @@ def _cmd_paradox(space: CellSpace, cfg: dict):
 
 def _cmd_verify_decomposition(space: CellSpace, cfg: dict):
     path = cfg.get("decomposition")
-    if not path:
+    if not isinstance(path, str) or not path:
         raise ConfigError("verify-decomposition needs a decomposition file path")
     try:
         with open(path) as fh:
@@ -388,7 +416,10 @@ def _cmd_transfer(space: CellSpace, cfg: dict):
     name = cfg.get("subgroup", "translations")
     if not hasattr(space, "field"):
         raise ConfigError("transfer command currently targets the affine spaces")
-    sub = affine_translations(space) if name == "translations" else affine_dilations(space)
+    subgroups = {"translations": affine_translations, "dilations": affine_dilations}
+    if not isinstance(name, str) or name not in subgroups:
+        raise ConfigError(f"subgroup must be translations or dilations, got {name!r}")
+    sub = subgroups[name](space)
     report = check_transfer_conditions(space, sub)
     payload = {
         "subgroup": name,
@@ -457,7 +488,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     handler = COMMANDS[args.command]
     try:
-        space = space_by_name(cfg["space"]["name"]) if "space" in cfg else None
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+        space_cfg = _block(cfg, "space")
+        space = None
+        if space_cfg is not None:
+            if not isinstance(space_cfg.get("name"), str):
+                raise ConfigError(f"space block needs a name string, got {space_cfg!r}")
+            space = space_by_name(space_cfg["name"])
         if space is None and handler is not _cmd_harem:
             raise ConfigError("config needs a space block")
         code, payload, witness = handler(space, cfg)

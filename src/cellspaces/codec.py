@@ -3,7 +3,8 @@
 Group payloads are nested tuples of ints, which JSON writes as nested lists;
 decoding turns every nested list back into a tuple. Free-group words are
 decoded through ``FreeGroup.word``, so they come back reduced and with every
-letter range-checked. A point of a cell space is written as ``{"g": payload}``
+letter range-checked; any other payload must name an element of its group.
+A point of a cell space is written as ``{"g": payload}``
 when it is a group element, as ``{"t": [...]}`` when it is a tuple, and as
 itself otherwise; configs may also give a group-element point as its bare
 payload list. Reports name points and keys by ``key_text``.
@@ -12,7 +13,16 @@ payload list. Reports name points and keys by ``key_text``.
 from __future__ import annotations
 
 from .errors import ConstructionError
-from .groups import FreeGroup, Group, GroupElement
+from .groups import (
+    FreeAbelianGroup,
+    FreeGroup,
+    Group,
+    GroupElement,
+    PermutationGroup,
+    SemidirectProduct,
+    SignedPermutationGroup,
+    reduce_word,
+)
 from .spaces import CellSpace, point_key
 
 
@@ -31,7 +41,32 @@ def element(group: Group, data) -> GroupElement:
     """The element of ``group`` whose payload JSON wrote as ``data``."""
     if isinstance(group, FreeGroup):
         return group.word(data)
-    return group.element(to_tuple(data))
+    payload = to_tuple(data)
+    if not is_payload(group, payload):
+        raise ConstructionError(f"{data!r} is not an element of {group.signature}")
+    return group.element(payload)
+
+
+def is_payload(group: Group, p) -> bool:
+    """Whether ``p`` is the payload of an element of ``group``."""
+    if isinstance(group, SemidirectProduct):
+        return (
+            isinstance(p, tuple)
+            and len(p) == 2
+            and is_payload(group.G0, p[0])
+            and is_payload(group.H, p[1])
+        )
+    if not (isinstance(p, tuple) and all(type(x) is int for x in p)):
+        return False
+    if isinstance(group, FreeGroup):
+        return all(0 < abs(x) <= group.k for x in p) and reduce_word(p) == p
+    if isinstance(group, FreeAbelianGroup):
+        return len(p) == group.d
+    if isinstance(group, SignedPermutationGroup):
+        return sorted(abs(x) for x in p) == list(range(1, group.d + 1))
+    if isinstance(group, PermutationGroup):
+        return p in {g.payload for g in group.elements()}
+    return False
 
 
 def coset_key(space: CellSpace, data) -> tuple:
@@ -50,15 +85,24 @@ def encode_point(m):
 def decode_point(space: CellSpace, data):
     """Inverse of ``encode_point``, also reading a bare payload list."""
     if isinstance(data, dict) and "t" in data:
-        return to_tuple(data["t"])
+        return _hashable(to_tuple(data["t"]))
     if isinstance(data, dict) and "g" in data:
         data = data["g"]
     elif not isinstance(data, list):
-        return data
+        return _hashable(data)
     # the points are group elements exactly when the origin is one
     if not isinstance(space.m0, GroupElement):
         raise ConstructionError(f"points of {space.name} are not group elements")
     return element(space.m0.group, data)
+
+
+def _hashable(point):
+    """A decoded point that is not a group element; sets and dicts hold it."""
+    try:
+        hash(point)
+    except TypeError:
+        raise ConstructionError(f"{point!r} is not a point") from None
+    return point
 
 
 def key_text(x) -> str:

@@ -57,8 +57,9 @@ class WeightVector:
         self.weights = {
             m: w if isinstance(w, Fraction) else Fraction(w) for m, w in weights.items()
         }
+        core = universe.core_set
         for m in self.weights:
-            if m not in universe.core_set:
+            if m not in core:
                 raise ScopeMismatchError(f"weight at {m!r} outside the universe")
         if any(w < 0 for w in self.weights.values()):
             raise ConstructionError(self.negative_error)

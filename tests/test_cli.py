@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cellspaces
 from cellspaces import (
@@ -15,6 +17,7 @@ from cellspaces import (
     space_by_name,
     verify_decomposition,
 )
+from cellspaces.cli import COMMANDS as cli_commands
 from cellspaces.cli import main
 
 
@@ -285,3 +288,200 @@ def test_decomposition_file_round_trip(tmp_path, name, make):
     assert code == (0 if report.passed else 2)
     checks = json.loads(out.read_text())["result"]["checks"]
     assert checks == [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks]
+
+
+def _expect_config_error(tmp_path, capsys, command, cfg):
+    path = write(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+ZD2_RATIOS = {
+    "space": {"name": "zd:2"},
+    "window": {"core_radius": 2, "halo_radius": 3},
+    "E": [[1, 0]],
+    "family": {"kind": "boxes", "sizes": [1, 2]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("harem", []),
+        ("harem", "abc"),
+        ("describe", {"space": "free:2"}),
+        ("describe", {"space": {"name": 5}}),
+        ("ratios", {**ZD2_RATIOS, "window": [1, 2]}),
+        ("ratios", {**ZD2_RATIOS, "E": 5}),
+        ("ratios", {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": 5}}),
+        ("ratios", {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": [2.5]}}),
+        ("ratios", {**ZD2_RATIOS, "family": {"kind": "full"}}),
+        ("measures", {"space": {"name": "affine:5"}, "measure": {"kind": "weights", "weights": 3}}),
+        ("measures", {"space": {"name": "affine:5"}, "measure": {"kind": "point_mass", "at": {}}}),
+        ("ratios", {**ZD2_RATIOS, "window": {"core_radius": 2.7, "halo_radius": 3}}),
+        ("ratios", {**ZD2_RATIOS, "window": {"core_radius": -2, "halo_radius": 3}}),
+        ("ratios", {**ZD2_RATIOS, "window": {"core_radius": True, "halo_radius": 3}}),
+        ("ratios", {"space": {"name": "affine:5"}, "window": {"core_radius": 1, "halo_radius": 1}}),
+        ("harem", {"graph": {"left": 1, "right": 2, "edges": [[0, 0]]}, "k": [2]}),
+        ("verify-decomposition", {"space": {"name": "free:2"}, "decomposition": 0}),
+    ],
+    ids=[
+        "config-list",
+        "config-string",
+        "space-string",
+        "space-name-int",
+        "window-list",
+        "E-int",
+        "sizes-int",
+        "size-float",
+        "full-family-infinite",
+        "weights-int",
+        "point-mass-object",
+        "radius-float",
+        "radius-negative",
+        "radius-bool",
+        "window-on-finite-space",
+        "k-list",
+        "decomposition-path-int",
+    ],
+)
+def test_malformed_config_block_exits_1(tmp_path, capsys, command, cfg):
+    _expect_config_error(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize(
+    "name, E",
+    [
+        ("zd:2", [[1]]),
+        ("zd:2", [[1, 0, 0]]),
+        ("zd:2", [["a", 0]]),
+        ("zd:2", [[True, 0]]),
+        ("affine:5", [[1, 0, 2, 3, 4]]),
+        ("affine:5", [[0, 1, 2]]),
+        ("hyperoct:2", [[1, 0]]),
+        ("hyperoct:2", [[[1, 1], [0, 0]]]),
+        ("hyperoct:2", [[[1, 2], [0, 0], [0, 0]]]),
+    ],
+    ids=[
+        "zd2-short",
+        "zd2-long",
+        "zd2-string",
+        "zd2-bool",
+        "affine5-transposition",
+        "affine5-short",
+        "hyperoct2-flat",
+        "hyperoct2-not-signed-perm",
+        "hyperoct2-triple",
+    ],
+)
+def test_payload_outside_the_group_exits_1(tmp_path, capsys, name, E):
+    cfg = {"space": {"name": name}, "E": E, "family": {"kind": "full"}}
+    if name != "affine:5":
+        cfg.update(window={"core_radius": 1, "halo_radius": 2}, family={"kind": "balls", "radii": [1]})
+    _expect_config_error(tmp_path, capsys, "ratios", cfg)
+
+
+@pytest.mark.parametrize("subgroup", ["bogus", "all", "", 5, None])
+def test_transfer_refuses_unknown_subgroup(tmp_path, capsys, subgroup):
+    _expect_config_error(
+        tmp_path, capsys, "transfer", {"space": {"name": "affine:5"}, "subgroup": subgroup}
+    )
+
+
+_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(-2, 3, allow_nan=False)
+    | st.text("ab:1-", max_size=4)
+)
+_json = st.recursive(
+    _leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("gtk", max_size=1), inner, max_size=2),
+    max_leaves=6,
+)
+_radius = st.integers(-1, 3) | _leaf
+_payload = (
+    st.lists(st.integers(-2, 4), max_size=5)
+    | st.lists(st.lists(st.integers(-2, 2), max_size=2), max_size=2)
+    | _json
+)
+_CONFIG_BLOCKS = {
+    "space": st.fixed_dictionaries(
+        {"name": st.sampled_from(["free:2", "zd:1", "zd:2", "hyperoct:2", "affine:3", "affine:5", "zd:x"])}
+    )
+    | _json,
+    "window": st.fixed_dictionaries({"core_radius": _radius, "halo_radius": _radius}) | _json,
+    "E": st.lists(_payload, max_size=3) | _json,
+    "epsilon": st.sampled_from(["1/4", "0", "x"]) | _json,
+    "family": st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["boxes", "balls", "full", "x"]),
+            "sizes": st.lists(_radius, max_size=3) | _json,
+            "radii": st.lists(_radius, max_size=3) | _json,
+        }
+    )
+    | _json,
+    "k": st.integers(-1, 3) | _leaf,
+    "graph": st.fixed_dictionaries(
+        {
+            "left": _radius,
+            "right": _radius,
+            "edges": st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=4) | _json,
+        }
+    )
+    | _json,
+    "measure": st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["uniform", "point_mass", "weights", "x"]),
+            "at": st.integers(0, 4) | _payload,
+            "weights": st.lists(
+                st.lists(st.integers(0, 4) | _payload | st.sampled_from(["1/2", "1", "x"]), max_size=3),
+                max_size=3,
+            )
+            | _json,
+        }
+    )
+    | _json,
+    "subgroup": st.sampled_from(["translations", "dilations", "all"]) | _json,
+    "decomposition": st.just("missing.json") | _json,
+}
+
+
+# valid configs that the fuzz overrides block by block
+_BASES = [
+    {
+        "space": {"name": "free:2"},
+        "window": {"core_radius": 2, "halo_radius": 3},
+        "E": [[], [1], [-1], [2], [-2]],
+        "family": {"kind": "balls", "radii": [1, 2]},
+    },
+    {**ZD2_RATIOS, "epsilon": "1/2"},
+    {
+        "space": {"name": "hyperoct:2"},
+        "window": {"core_radius": 2, "halo_radius": 3},
+        "E": [[[1, 2], [0, 0]], [[-2, 1], [1, 0]]],
+        "family": {"kind": "balls", "radii": [1, 2]},
+    },
+    {"space": {"name": "affine:5"}, "E": [[1, 2, 3, 4, 0]], "family": {"kind": "full"}},
+    {"graph": {"left": 2, "right": 4, "edges": [[0, 0], [0, 1], [1, 2], [1, 3]]}, "k": 2},
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(sorted(cli_commands)),
+    cfg=st.builds(
+        lambda base, blocks: {**base, **blocks},
+        st.sampled_from(_BASES),
+        st.fixed_dictionaries({}, optional=_CONFIG_BLOCKS),
+    )
+    | _json,
+)
+def test_config_fuzz_ends_in_an_exit_code(command, cfg):
+    """Any config block shape ends in exit 0, 1 or 2; no exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert run([command, "--config", path, "--out", os.path.join(tmp, "o.json")]) in (0, 1, 2)
