@@ -376,7 +376,7 @@ def _cmd_verify_decomposition(space: CellSpace, cfg: dict):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read decomposition file: {exc}") from exc
     D = decomposition_from_json(space, data)
     report = verify_decomposition(space, D)
@@ -482,7 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.config, "rb") as fh:
             cfg_bytes = fh.read()
         cfg = json.loads(cfg_bytes)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,10 +27,25 @@ from .spaces import CellSpace, point_key
 
 
 def to_tuple(data):
-    """Nested JSON lists as nested tuples."""
-    if isinstance(data, list):
-        return tuple(to_tuple(x) for x in data)
-    return data
+    """Nested JSON lists as nested tuples.
+
+    Iterative, because a JSON document may nest deeper than the stack."""
+    if not isinstance(data, list):
+        return data
+    stack = [(data, [])]  # (list being converted, its items converted so far)
+    while True:
+        items, done = stack[-1]
+        if len(done) < len(items):
+            x = items[len(done)]
+            if isinstance(x, list):
+                stack.append((x, []))
+            else:
+                done.append(x)
+            continue
+        stack.pop()
+        if not stack:
+            return tuple(done)
+        stack[-1][1].append(tuple(done))
 
 
 def encode_payload(payload) -> list:
@@ -42,19 +57,19 @@ def element(group: Group, data) -> GroupElement:
     if isinstance(group, FreeGroup):
         return group.word(data)
     payload = to_tuple(data)
-    if not is_payload(group, payload):
+    if not _is_payload(group, payload):
         raise ConstructionError(f"{data!r} is not an element of {group.signature}")
     return group.element(payload)
 
 
-def is_payload(group: Group, p) -> bool:
+def _is_payload(group: Group, p) -> bool:
     """Whether ``p`` is the payload of an element of ``group``."""
     if isinstance(group, SemidirectProduct):
         return (
             isinstance(p, tuple)
             and len(p) == 2
-            and is_payload(group.G0, p[0])
-            and is_payload(group.H, p[1])
+            and _is_payload(group.G0, p[0])
+            and _is_payload(group.H, p[1])
         )
     if not (isinstance(p, tuple) and all(type(x) is int for x in p)):
         return False

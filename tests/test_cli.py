@@ -381,6 +381,15 @@ def test_payload_outside_the_group_exits_1(tmp_path, capsys, name, E):
     _expect_config_error(tmp_path, capsys, "ratios", cfg)
 
 
+@pytest.mark.parametrize("depth", [900, 100_000], ids=["to-tuple-depth", "json-depth"])
+def test_deeply_nested_payload_exits_1(tmp_path, depth):
+    """JSON nesting deeper than the stack is refused, not a RecursionError."""
+    path = tmp_path / "c.json"
+    nested = "[" * depth + "]" * depth
+    path.write_text(json.dumps({**ZD2_RATIOS, "E": "@"}).replace('"@"', f"[{nested}]"))
+    assert run(["ratios", "--config", str(path)]) == 1
+
+
 @pytest.mark.parametrize("subgroup", ["bogus", "all", "", 5, None])
 def test_transfer_refuses_unknown_subgroup(tmp_path, capsys, subgroup):
     _expect_config_error(
