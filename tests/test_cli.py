@@ -323,7 +323,7 @@ ZD2_RATIOS = {
         ("ratios", {**ZD2_RATIOS, "window": {"core_radius": True, "halo_radius": 3}}),
         ("ratios", {"space": {"name": "affine:5"}, "window": {"core_radius": 1, "halo_radius": 1}}),
         ("harem", {"graph": {"left": 1, "right": 2, "edges": [[0, 0]]}, "k": [2]}),
-        ("verify-decomposition", {"space": {"name": "free:2"}, "decomposition": 0}),
+        ("verify-decomposition", {"space": {"name": "free:2"}, "decomposition": ["dec.json"]}),
     ],
     ids=[
         "config-list",
@@ -342,7 +342,7 @@ ZD2_RATIOS = {
         "radius-bool",
         "window-on-finite-space",
         "k-list",
-        "decomposition-path-int",
+        "decomposition-path-list",
     ],
 )
 def test_malformed_config_block_exits_1(tmp_path, capsys, command, cfg):
@@ -390,7 +390,9 @@ def test_deeply_nested_payload_exits_1(tmp_path, depth):
     assert run(["ratios", "--config", str(path)]) == 1
 
 
-@pytest.mark.parametrize("subgroup", ["bogus", "all", "", 5, None])
+@pytest.mark.parametrize(
+    "subgroup", ["bogus", "all", "", 5, None], ids=["bogus", "all", "empty", "int", "null"]
+)
 def test_transfer_refuses_unknown_subgroup(tmp_path, capsys, subgroup):
     _expect_config_error(
         tmp_path, capsys, "transfer", {"space": {"name": "affine:5"}, "subgroup": subgroup}
