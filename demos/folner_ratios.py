@@ -58,7 +58,7 @@ def free_group_story() -> None:
         f"doubling construction: xi={construction.xi}, n={construction.n}, "
         f"|E|={len(construction.E)} cosets"
     )
-    report = cs.check_doubling(f2, construction.E, family, window)
+    report = cs.check_doubling(f2, construction.E, family)
     for v in report.verdicts:
         print(f"  {v.set_id}: |F|={v.size}, |F |> E|={v.image_size}, doubled={v.passed}")
 

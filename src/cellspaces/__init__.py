@@ -63,7 +63,6 @@ from .paradox import (
     verify_decomposition,
 )
 from .spaces import (
-    AxiomReport,
     CellSpace,
     Coset,
     FiniteSpace,

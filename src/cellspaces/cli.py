@@ -12,7 +12,8 @@ Config schema (JSON, one object)::
 
     {
       "space": {"name": "zd:2"},            # affine:q | hyperoct:d | zd:d | free:k
-      "window": {"core_radius": 4, "halo_radius": 5},   # omitted: full finite space
+      "window": {"core_radius": 4, "halo_radius": 5},   # omitted: full finite space;
+                                            # doubling reads no window block
       "E": [[1, 0], [-1, 0]],               # coset representative payloads
       "epsilon": "1/10",                    # rationals are "p/q" strings
       "family": {"kind": "boxes", "sizes": [1, 2, 3]},  # or "balls"/"full"
@@ -283,10 +284,9 @@ def _cmd_folner_search(space: CellSpace, cfg: dict):
 
 
 def _cmd_doubling(space: CellSpace, cfg: dict):
-    window = _window(space, cfg)
     E = _expansion(space, cfg)
     family = _family(space, cfg)
-    report = check_doubling(space, E, family, window)
+    report = check_doubling(space, E, family)
     verdicts = [
         {
             "set_id": v.set_id,

@@ -8,7 +8,7 @@ the finite-E/epsilon criterion it is equivalent to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -56,7 +56,6 @@ def ratios(
 class FolnerSearchResult:
     found: Optional[Sequence]
     found_id: Optional[str]
-    records: list = field(default_factory=list)
     # on exhaustion: the min-max candidate and its witness coset
     best_id: Optional[str] = None
     best_max_ratio: Optional[Fraction] = None
@@ -81,7 +80,6 @@ def folner_search(
     result = FolnerSearchResult(found=None, found_id=None)
     for set_id, F in family:
         recs = [ratios(space, F, e, universe, set_id) for e in E]
-        result.records.extend(recs)
         worst = max(recs, key=lambda r: (r.ratio_out, r.coset_key))
         if worst.ratio_out < epsilon:
             result.found = F
@@ -96,7 +94,6 @@ def folner_search(
 
 @dataclass(frozen=True)
 class DoublingConstruction:
-    E2: ExpansionSet
     xi: Fraction
     n: int
     E: ExpansionSet
@@ -135,7 +132,7 @@ def doubling_from_failure(
         E = _compose_sets(space, E, E2)
     if not E.contains_identity:
         raise ConstructionError("identity coset lost while composing expansion sets")
-    return DoublingConstruction(E2=E2, xi=xi, n=n, E=E)
+    return DoublingConstruction(xi=xi, n=n, E=E)
 
 
 def _compose_sets(space: CellSpace, E: ExpansionSet, E2: ExpansionSet) -> ExpansionSet:
@@ -170,7 +167,6 @@ def check_doubling(
     space: CellSpace,
     E: ExpansionSet,
     family: Sequence[tuple[str, Sequence]],
-    universe: Optional[Window] = None,
 ) -> DoublingReport:
     """Per-set verdict |F |> E| >= 2|F| with exact cardinalities."""
     verdicts = []

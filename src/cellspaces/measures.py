@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConstructionError, IntegrityError, ScopeMismatchError, UncertifiedWindowError
 from .spaces import CellSpace, Coset, Window, point_key
@@ -136,26 +136,19 @@ def funcamact(space: CellSpace, f: BoundedFn, coset: Coset) -> BoundedFn:
     return result
 
 
-class SetFunction:
+def measure_semiaction(
+    space: CellSpace, mu: FAMeasure, coset: Coset
+) -> Callable[[Iterable], Fraction]:
     """mu <| coset as a set function; not necessarily normalised."""
 
-    def __init__(self, space: CellSpace, mu: FAMeasure, coset: Coset):
-        self.space = space
-        self.mu = mu
-        self.coset = coset
+    def moved_measure(A: Iterable) -> Fraction:
+        return mu.measure({space.semi_action(m, coset) for m in set(A)})
 
-    def __call__(self, A: Iterable) -> Fraction:
-        moved = {self.space.semi_action(m, self.coset) for m in set(A)}
-        return self.mu.measure(moved)
-
-
-def measure_semiaction(space: CellSpace, mu: FAMeasure, coset: Coset) -> SetFunction:
-    return SetFunction(space, mu, coset)
+    return moved_measure
 
 
 @dataclass
 class SemiInvarianceReport:
-    space_name: str
     violations: list = field(default_factory=list)
     cosets_checked: int = 0
 
@@ -174,7 +167,7 @@ def check_semi_invariance(space: CellSpace, mu: FAMeasure) -> SemiInvarianceRepo
     """
     if not space.is_finite:
         raise ConstructionError("semi-invariance check needs a finite space")
-    report = SemiInvarianceReport(space.name)
+    report = SemiInvarianceReport()
     for coset in space.cosets():
         report.cosets_checked += 1
         for m in space.points():

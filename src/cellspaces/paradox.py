@@ -13,7 +13,7 @@ the core points whose exact fibers under every e in E stay inside the core.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -77,11 +77,7 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
 
 def _fibers_in_core(space: CellSpace, E: ExpansionSet, m, core: frozenset) -> bool:
     """Whether the exact fiber of m under every coset of E lies in the core."""
-    for e in E:
-        fiber = space.exact_preimage_point(e, m)
-        if fiber is None or any(p not in core for p in fiber):
-            return False
-    return True
+    return all(p in core for e in E for p in space.exact_preimage_point(e, m))
 
 
 def harem_matching(graph: BipartiteGraph, k: int = 2) -> Union[HaremMatching, HaremViolation]:
@@ -100,7 +96,6 @@ class TwoToOneMap:
     so psi and psi' are injective with disjoint images covering the matched
     right side."""
 
-    graph: BipartiteGraph
     psi: dict
     psi_prime: dict
     phi: dict
@@ -126,7 +121,7 @@ def two_to_one_from_matching(
         lo, hi = sorted(ys)
         psi[graph.left[x]] = graph.right[lo]
         psi_prime[graph.left[x]] = graph.right[hi]
-    return TwoToOneMap(graph=graph, psi=psi, psi_prime=psi_prime, phi=phi)
+    return TwoToOneMap(psi=psi, psi_prime=psi_prime, phi=phi)
 
 
 # ---------------------------------------------------------------------------

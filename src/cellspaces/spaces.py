@@ -168,11 +168,6 @@ class CheckReport:
         self.add(name, bad is None, f"{label}={bad!r}")
 
 
-@dataclass
-class AxiomReport(CheckReport):
-    space_name: str
-
-
 class CellSpace:
     """Base class; backends supply the left action and coordinate map."""
 
@@ -212,16 +207,15 @@ class CellSpace:
         layers = bfs_layers(self.m0, lambda m: map(self.left_action, gens, repeat(m)), r)
         return tuple(sorted(itertools.chain.from_iterable(layers), key=point_key))
 
-    def full_window(self, note: str = "full") -> Window:
+    def full_window(self) -> Window:
         """All points of a finite space, as both core and halo."""
         points = tuple(self.points())
-        return Window(points, points, note)
+        return Window(points, points, "full")
 
-    def exact_preimage_point(self, coset: Coset, a) -> Optional[list]:
-        """All m in M with m |> coset = a, or None if not computable."""
-        if self.is_finite:
-            return [m for m in self.points() if self.semi_action(m, coset) == a]
-        return None
+    def exact_preimage_point(self, coset: Coset, a) -> list:
+        """All m in M with m |> coset = a: a scan of ``points()``, so backends
+        with infinitely many points override it."""
+        return [m for m in self.points() if self.semi_action(m, coset) == a]
 
     # -- cosets ------------------------------------------------------------
     def coset(self, g: GroupElement) -> Coset:
@@ -245,13 +239,7 @@ class CellSpace:
         targets = set(A)
         if not targets <= halo:
             raise ScopeMismatchError("A must be contained in the window halo")
-        exact = self._exact_preimage_set(coset, targets)
-        if exact is None:
-            pts = sorted(
-                (m for m in universe.halo if self.semi_action(m, coset) in targets),
-                key=point_key,
-            )
-            return PreimageResult(tuple(pts), certified=False)
+        exact = {m for a in targets for m in self.exact_preimage_point(coset, a)}
         bound = len(self.stabilizer) * len(targets)
         if len(exact) > bound:
             raise IntegrityError(
@@ -261,15 +249,6 @@ class CellSpace:
         certified = all(m in halo for m in exact)
         pts = sorted((m for m in exact if m in halo), key=point_key)
         return PreimageResult(tuple(pts), certified=certified)
-
-    def _exact_preimage_set(self, coset: Coset, targets: set) -> Optional[set]:
-        out = set()
-        for a in targets:
-            pre = self.exact_preimage_point(coset, a)
-            if pre is None:
-                return None
-            out.update(pre)
-        return out
 
     def undo_witness(self, m, coset: Coset, sample: Sequence[Coset]) -> GroupElement:
         """A representative g of the coset with (m |> coset) |> g' = m |> g g'
@@ -321,16 +300,15 @@ def verify_axioms(
     space: CellSpace,
     sample: Window,
     coset_sample: Sequence[Coset],
-    generator_sample: Optional[Sequence[GroupElement]] = None,
-) -> AxiomReport:
+) -> CheckReport:
     """Check the cell-space and semi-action axioms on finite samples.
 
     Passing is evidence, not proof: the defect and semi-commutation axioms
     quantify over all of G/G0, which is sampled here.
     """
-    report = AxiomReport(space.name)
+    report = CheckReport()
     pts = list(sample.core)
-    gens = list(generator_sample) if generator_sample is not None else space.group.ball(1)
+    gens = space.group.ball(1)
     G0, m0, coset = space.stabilizer, space.m0, space.coset
     act, semi = space.left_action, space.semi_action  # g . m and m |> c
 

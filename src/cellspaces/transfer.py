@@ -43,15 +43,12 @@ from .spaces import (
 
 @dataclass
 class SubgroupSample:
-    """A subgroup given by generators plus a membership test; ``elements`` is
-    a finite enumeration when available, else a generated sample."""
+    """A subgroup given by a membership test; ``elements`` is a finite
+    enumeration when available, else a sample generated from generators."""
 
     name: str
-    group: Group
-    generators: list
     member: Callable[[GroupElement], bool]
     elements: list
-    abelian: bool = False
 
 
 def subgroup_sample(
@@ -60,19 +57,16 @@ def subgroup_sample(
     generators: Sequence[GroupElement],
     member: Callable[[GroupElement], bool],
     radius: int = 3,
-    abelian: bool = False,
 ) -> SubgroupSample:
     gens = list(generators)
     steps = gens + [s.inverse() for s in gens]
     layers = bfs_layers(group.identity(), lambda g: map(operator.mul, repeat(g), steps), radius)
     elements = sorted(itertools.chain.from_iterable(layers))
-    return SubgroupSample(name, group, gens, member, elements, abelian)
+    return SubgroupSample(name, member, elements)
 
 
 @dataclass
 class TransferReport(CheckReport):
-    space_name: str
-    subgroup: str
     witnesses: dict = field(default_factory=dict)
 
 
@@ -80,21 +74,19 @@ def check_transfer_conditions(
     space: CellSpace,
     H: SubgroupSample,
     sample: Optional[Window] = None,
-    coset_sample: Optional[Sequence[Coset]] = None,
 ) -> TransferReport:
     """Verdicts on finite samples for the four sufficient conditions.
 
     Passing is evidence (the conditions quantify over all of G, H and M);
     failing is a counterexample.
     """
-    report = TransferReport(space.name, H.name)
+    report = TransferReport()
     if sample is None:
         if not space.is_finite:
             raise ConstructionError("an infinite space needs an explicit sample window")
         sample = space.full_window()
     pts = list(sample.core)
-    if coset_sample is None:
-        coset_sample = [space.coset(g) for g in space.group.ball(2)]
+    coset_sample = [space.coset(g) for g in space.group.ball(2)]
 
     # G = G0 H on a sample of G
     g_sample = space.group.elements() if space.group.is_finite else space.group.ball(2)
@@ -296,17 +288,10 @@ def affine_translations(space: FiniteSpace) -> SubgroupSample:
     translations = {
         tuple(fld.add(i, b) for i in range(q)) for b in range(q)
     }
-    gens = [
-        space.group.element(tuple(fld.add(i, fld.p**j) for i in range(q)))
-        for j in range(fld.k)
-    ]
     return SubgroupSample(
         "translations",
-        space.group,
-        gens,
         lambda g: g.payload in translations,
         [space.group.element(p) for p in sorted(translations)],
-        abelian=True,
     )
 
 
@@ -314,18 +299,10 @@ def affine_dilations(space: FiniteSpace) -> SubgroupSample:
     fld = space.field
     q = fld.q
     dilations = {tuple(fld.mul(a, i) for i in range(q)) for a in range(1, q)}
-    gens = (
-        [space.group.element(tuple(fld.mul(fld.primitive_element(), i) for i in range(q)))]
-        if q > 2
-        else [space.group.identity()]
-    )
     return SubgroupSample(
         "dilations",
-        space.group,
-        gens,
         lambda g: g.payload in dilations,
         [space.group.element(p) for p in sorted(dilations)],
-        abelian=True,
     )
 
 

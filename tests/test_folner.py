@@ -96,7 +96,7 @@ def test_doubling_from_failure_builds_valid_set():
     assert construction.xi == Fraction(3, 2)
     assert construction.n == 2
     assert construction.E.contains_identity
-    report = check_doubling(sp, construction.E, family, w)
+    report = check_doubling(sp, construction.E, family)
     assert report.passed
 
 
