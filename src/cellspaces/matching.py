@@ -7,11 +7,13 @@ violation witness from the residual reachability of the final flow.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError
+from .groups import bfs_layers
 
 INF = 10**18
 
@@ -91,16 +93,10 @@ class Dinic:
         return total
 
     def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
+        """The vertices reachable from s along edges with residual capacity."""
+        to, cap, adj = self.to, self.cap, self.adj
+        layers = bfs_layers(s, lambda u: (to[eid] for eid in adj[u] if cap[eid] > 0))
+        return set(itertools.chain.from_iterable(layers))
 
 
 @dataclass(frozen=True)
