@@ -306,9 +306,18 @@ def affine_dilations(space: FiniteSpace) -> SubgroupSample:
     )
 
 
+# building hyperoct:d enumerates all d! 2^d signed permutations, a cost that
+# grows about 2(d+1)-fold with each further rank
+HYPEROCT_MAX_RANK = 6
+
+
 def hyperoct_space(d: int) -> SemidirectCellSpace:
     """Signed permutations of d coordinates acting on the lattice Z^d; a
     discrete analogue of a point group extended by translations."""
+    if d > HYPEROCT_MAX_RANK:
+        raise ConstructionError(
+            f"hyperoct:{d} exceeds the largest supported rank {HYPEROCT_MAX_RANK}"
+        )
     g0 = SignedPermutationGroup(d)
     lattice = GroupAsSpace(FreeAbelianGroup(d), name=f"z{d}-principal")
     tau = hyperoctahedral_tau(g0, lattice.group)

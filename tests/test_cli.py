@@ -40,7 +40,9 @@ def test_unknown_command_exits_1(tmp_path):
     assert run(["frobnicate", "--config", cfg]) == 1
 
 
-@pytest.mark.parametrize("name", ["affine:6", "zd:0", "zd:-1", "hyperoct:0"])
+@pytest.mark.parametrize(
+    "name", ["affine:6", "zd:0", "zd:-1", "hyperoct:0", "hyperoct:7", "hyperoct:40"]
+)
 def test_bad_space_exits_1(tmp_path, name):
     cfg = write(tmp_path, "c.json", {"space": {"name": name}})
     assert run(["describe", "--config", cfg]) == 1
