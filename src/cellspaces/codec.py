@@ -98,26 +98,23 @@ def encode_point(m):
 
 
 def decode_point(space: CellSpace, data):
-    """Inverse of ``encode_point``, also reading a bare payload list."""
-    if isinstance(data, dict) and "t" in data:
-        return _hashable(to_tuple(data["t"]))
-    if isinstance(data, dict) and "g" in data:
-        data = data["g"]
-    elif not isinstance(data, list):
-        return _hashable(data)
+    """The point of ``space`` that ``encode_point`` wrote as ``data``, also
+    reading a bare payload list; anything else is a ``ConstructionError``."""
     # the points are group elements exactly when the origin is one
-    if not isinstance(space.m0, GroupElement):
-        raise ConstructionError(f"points of {space.name} are not group elements")
-    return element(space.m0.group, data)
-
-
-def _hashable(point):
-    """A decoded point that is not a group element; sets and dicts hold it."""
+    if isinstance(space.m0, GroupElement):
+        if isinstance(data, dict) and "g" in data:
+            data = data["g"]
+        if not isinstance(data, list):
+            raise ConstructionError(f"{data!r} is not a point of {space.name}")
+        return element(space.m0.group, data)
+    if isinstance(data, dict) and "t" in data:
+        data = to_tuple(data["t"])
+    # a space without group-element points is finite; return its own object
+    points = {m: m for m in space.points()}
     try:
-        hash(point)
-    except TypeError:
-        raise ConstructionError(f"{point!r} is not a point") from None
-    return point
+        return points[data]
+    except (KeyError, TypeError):
+        raise ConstructionError(f"{data!r} is not a point of {space.name}") from None
 
 
 def key_text(x) -> str:

@@ -3,9 +3,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellspaces import (
+    CellSpacesError,
     ConstructionError,
+    Decomposition,
     ExpansionSet,
     FAMeasure,
     HaremMatching,
@@ -170,3 +173,103 @@ def test_verify_hashes_grow_linearly(monkeypatch):
     for i in range(len(sizes) - 1):
         growth = math.log(counts[i + 1] / counts[i]) / math.log(sizes[i + 1] / sizes[i])
         assert growth <= 1.2, (sizes, counts)
+
+
+# ---------------------------------------------------------------------------
+# fuzz over decomposition files
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["E", "A", "B", "scope", "core", "halo", "note", "g", "t"])
+        | st.text(max_size=2),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+def _valid_file(name):
+    """A well-formed decomposition file of the named space: the closed form on
+    free:2, elsewhere the core dealt round-robin over the cosets of ball(1)."""
+    sp = space_by_name(name)
+    if name == "free:2":
+        return sp, decomposition_to_json(sp, canonical_free_decomposition(sp, sp.ball_window(2, 3)))
+    window = sp.ball_window(1, 2) if hasattr(sp, "ball_window") else sp.full_window()
+    E = ExpansionSet.of([sp.coset(g) for g in sp.group.ball(1)])
+    keys = [e.key for e in E]
+    pieces = {k: tuple(window.core[i::len(keys)]) for i, k in enumerate(keys)}
+    D = Decomposition(E=E, A=pieces, B=dict(reversed(pieces.items())), scope=window)
+    return sp, json.loads(json.dumps(decomposition_to_json(sp, D)))
+
+
+_FILES = {name: _valid_file(name) for name in ("free:2", "hyperoct:2", "affine:3", "zd:1")}
+
+
+def _paths(doc, prefix=()):
+    """The path of every node of a JSON document, the root first."""
+    yield prefix
+    items = enumerate(doc) if isinstance(doc, list) else doc.items() if isinstance(doc, dict) else ()
+    for k, child in items:
+        yield from _paths(child, prefix + (k,))
+
+
+def _replaced(doc, path, value):
+    """``doc`` with the node at ``path`` replaced by ``value``, or deleted
+    when ``value`` is ``_DELETE``."""
+    if not path:
+        return value
+    out = list(doc) if isinstance(doc, list) else dict(doc)
+    k, rest = path[0], path[1:]
+    if value is _DELETE and not rest:
+        del out[k]
+    else:
+        out[k] = _replaced(doc[k], rest, value)
+    return out
+
+
+_DELETE = object()
+
+
+@st.composite
+def _decomposition_files(draw):
+    name = draw(st.sampled_from(sorted(_FILES)))
+    _, doc = _FILES[name]
+    if draw(st.booleans()):
+        return name, draw(_JSON)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = _DELETE if path and draw(st.booleans()) else draw(_JSON)
+        doc = _replaced(doc, path, value)
+    return name, doc
+
+
+def test_valid_decomposition_files_load():
+    for sp, doc in _FILES.values():
+        verify_decomposition(sp, decomposition_from_json(sp, doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_decomposition_files())
+def test_decomposition_file_fuzz_raises_only_package_errors(case):
+    """Arbitrary JSON, and valid files with nodes replaced or deleted, either
+    load and verify or raise a ``CellSpacesError``."""
+    name, doc = case
+    sp, _ = _FILES[name]
+    try:
+        verify_decomposition(sp, decomposition_from_json(sp, doc))
+    except CellSpacesError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "name, point",
+    [("affine:3", 7), ("affine:3", "x"), ("affine:3", [0]), ("zd:1", {"t": [1]}), ("zd:1", 1)],
+)
+def test_decomposition_file_refuses_a_point_outside_the_space(name, point):
+    sp, doc = _FILES[name]
+    doc = _replaced(doc, ("A", 0, 1), doc["A"][0][1] + [point])
+    with pytest.raises(ConstructionError, match="is not a point of"):
+        decomposition_from_json(sp, doc)
