@@ -196,12 +196,13 @@ def _valid_file(name):
     free:2, elsewhere the core dealt round-robin over the cosets of ball(1)."""
     sp = space_by_name(name)
     if name == "free:2":
-        return sp, decomposition_to_json(sp, canonical_free_decomposition(sp, sp.ball_window(2, 3)))
-    window = sp.ball_window(1, 2) if hasattr(sp, "ball_window") else sp.full_window()
-    E = ExpansionSet.of([sp.coset(g) for g in sp.group.ball(1)])
-    keys = [e.key for e in E]
-    pieces = {k: tuple(window.core[i::len(keys)]) for i, k in enumerate(keys)}
-    D = Decomposition(E=E, A=pieces, B=dict(reversed(pieces.items())), scope=window)
+        D = canonical_free_decomposition(sp, sp.ball_window(2, 3))
+    else:
+        window = sp.ball_window(1, 2) if hasattr(sp, "ball_window") else sp.full_window()
+        E = ExpansionSet.of([sp.coset(g) for g in sp.group.ball(1)])
+        keys = [e.key for e in E]
+        pieces = {k: tuple(window.core[i::len(keys)]) for i, k in enumerate(keys)}
+        D = Decomposition(E=E, A=pieces, B=dict(reversed(pieces.items())), scope=window)
     return sp, json.loads(json.dumps(decomposition_to_json(sp, D)))
 
 
@@ -216,6 +217,9 @@ def _paths(doc, prefix=()):
         yield from _paths(child, prefix + (k,))
 
 
+_DELETE = object()
+
+
 def _replaced(doc, path, value):
     """``doc`` with the node at ``path`` replaced by ``value``, or deleted
     when ``value`` is ``_DELETE``."""
@@ -228,9 +232,6 @@ def _replaced(doc, path, value):
     else:
         out[k] = _replaced(doc[k], rest, value)
     return out
-
-
-_DELETE = object()
 
 
 @st.composite
