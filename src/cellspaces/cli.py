@@ -5,8 +5,9 @@ JSON reports. Outputs are byte-deterministic for identical configs: every
 report embeds the config digest and the coordinate rule of the space, all
 enumerations are sorted, and rationals are serialized exactly as "p/q".
 
-Exit codes: 0 = pass/complete, 2 = property violation found (a witness file
-is written next to the output), 1 = usage or config error.
+Exit codes: 0 = pass/complete, 1 = usage or config error, and 2 exactly when a
+property violation's witness is written: to ``<out>.witness.json``, or to
+stdout after the report when there is no ``--out``.
 
 Config schema (JSON, one object)::
 
@@ -170,14 +171,22 @@ def _checks(report: CheckReport) -> list:
     return [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks]
 
 
+def _witness(key: str, failures: list) -> Optional[dict]:
+    """The witness ``{key: failures}``, or None when nothing failed."""
+    return {key: failures} if failures else None
+
+
 def _verdict(report: CheckReport, payload: dict):
-    """Exit 0 when the report passed, else 2 with its failing checks named."""
-    if report.passed:
-        return 0, payload, None
-    return 2, payload, {"failures": [c.name for c in report.failures()]}
+    """The payload, and a witness naming the report's failing checks."""
+    return payload, _witness("failures", [c.name for c in report.failures()])
 
 
-def _violation(outcome, names_left: list, names_right: list) -> dict:
+def _vertex_names(graph) -> tuple[list, list]:
+    """The left and right vertices of a window graph as the reports name them."""
+    return [codec.key_text(m) for m in graph.left], [codec.key_text(m) for m in graph.right]
+
+
+def _violation(outcome, names_left: Sequence, names_right: Sequence) -> dict:
     """A Hall witness with its vertices named as the report names them."""
     names = names_left if outcome.side == "left" else names_right
     return {
@@ -211,7 +220,8 @@ def _write(text: str, path: Optional[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands; each returns (exit_code, payload, optional witness)
+# commands; each returns (payload, witness or None), and main exits 2 exactly
+# when the witness is not None
 
 
 def _cmd_describe(space: CellSpace, cfg: dict):
@@ -231,7 +241,7 @@ def _cmd_describe(space: CellSpace, cfg: dict):
     if space.group.is_finite:
         info["group_order"] = len(space.group.elements())
         info["coset_count"] = len(space.cosets())
-    return 0, info, None
+    return info, None
 
 
 def _cmd_axioms(space: CellSpace, cfg: dict):
@@ -261,7 +271,7 @@ def _cmd_ratios(space: CellSpace, cfg: dict):
         }
         for r in recs
     ]
-    return 0, {"records": rows}, None
+    return {"records": rows}, None
 
 
 def _cmd_folner_search(space: CellSpace, cfg: dict):
@@ -280,7 +290,7 @@ def _cmd_folner_search(space: CellSpace, cfg: dict):
         payload["best_max_ratio"] = (
             _frac_str(result.best_max_ratio) if result.best_max_ratio is not None else None
         )
-    return 0, payload, None
+    return payload, None
 
 
 def _cmd_doubling(space: CellSpace, cfg: dict):
@@ -288,18 +298,11 @@ def _cmd_doubling(space: CellSpace, cfg: dict):
     family = _family(space, cfg)
     report = check_doubling(space, E, family)
     verdicts = [
-        {
-            "set_id": v.set_id,
-            "size": v.size,
-            "image_size": v.image_size,
-            "passed": v.passed,
-        }
+        {"set_id": v.set_id, "size": v.size, "image_size": v.image_size, "passed": v.passed}
         for v in report.verdicts
     ]
-    payload = {"verdicts": verdicts, "passed": report.passed}
-    if report.passed:
-        return 0, payload, None
-    return 2, payload, {"failing_sets": [v["set_id"] for v in verdicts if not v["passed"]]}
+    failing = [v["set_id"] for v in verdicts if not v["passed"]]
+    return {"verdicts": verdicts, "passed": report.passed}, _witness("failing_sets", failing)
 
 
 def _graph_block(g: dict) -> tuple[int, int, list]:
@@ -327,8 +330,7 @@ def _cmd_harem(space: Optional[CellSpace], cfg: dict):
     if graph_cfg is not None:
         nx, ny, adj = _graph_block(graph_cfg)
         outcome = solve_harem(nx, ny, adj, k)
-        names_left = list(range(nx))
-        names_right = list(range(ny))
+        names_left, names_right = range(nx), range(ny)
     else:
         if space is None:
             raise ConfigError("harem needs a space or an explicit graph block")
@@ -336,13 +338,12 @@ def _cmd_harem(space: Optional[CellSpace], cfg: dict):
         E = _expansion(space, cfg)
         graph = build_graph(space, E, window)
         outcome = harem_matching(graph, k)
-        names_left = [codec.key_text(m) for m in graph.left]
-        names_right = [codec.key_text(m) for m in graph.right]
+        names_left, names_right = _vertex_names(graph)
     if isinstance(outcome, HaremMatching):
         pairs = [[names_left[x], names_right[y]] for x, y in outcome.pairs]
-        return 0, {"k": k, "matched": True, "pairs": pairs}, None
+        return {"k": k, "matched": True, "pairs": pairs}, None
     witness = {**_violation(outcome, names_left, names_right), "k": k}
-    return 2, {"k": k, "matched": False, "violation": witness}, witness
+    return {"k": k, "matched": False, "violation": witness}, witness
 
 
 def _cmd_paradox(space: CellSpace, cfg: dict):
@@ -351,12 +352,8 @@ def _cmd_paradox(space: CellSpace, cfg: dict):
     graph = build_graph(space, E, window)
     outcome = harem_matching(graph, 2)
     if not isinstance(outcome, HaremMatching):
-        witness = _violation(
-            outcome,
-            [codec.key_text(m) for m in graph.left],
-            [codec.key_text(m) for m in graph.right],
-        )
-        return 2, {"stage": "matching", "violation": witness}, witness
+        witness = _violation(outcome, *_vertex_names(graph))
+        return {"stage": "matching", "violation": witness}, witness
     ttm = two_to_one_from_matching(graph, outcome)
     D = decomposition_from_map(space, ttm, E, window)
     report = verify_decomposition(space, D)
@@ -385,13 +382,8 @@ def _cmd_verify_decomposition(space: CellSpace, cfg: dict):
         "interior_size": len(report.interior),
         "checks": _checks(report),
     }
-    if report.passed:
-        return 0, payload, None
-    return 2, payload, {
-        "failures": [
-            {"name": c.name, "witness": c.witness} for c in report.failures()
-        ]
-    }
+    failures = [{"name": c.name, "witness": c.witness} for c in report.failures()]
+    return payload, _witness("failures", failures)
 
 
 def _cmd_measures(space: CellSpace, cfg: dict):
@@ -407,9 +399,7 @@ def _cmd_measures(space: CellSpace, cfg: dict):
             for m, k in report.violations
         ],
     }
-    if report.passed:
-        return 0, payload, None
-    return 2, payload, {"violations": payload["violations"]}
+    return payload, _witness("violations", payload["violations"])
 
 
 def _cmd_transfer(space: CellSpace, cfg: dict):
@@ -426,30 +416,22 @@ def _cmd_transfer(space: CellSpace, cfg: dict):
         "passed": report.passed,
         "checks": _checks(report),
     }
-    if report.passed:
-        mu = _measure(space, space.full_window(), cfg)
-        invariance = []
-        for key in sorted(report.witnesses):
-            h = report.witnesses[key]
-            if h is None:
-                invariance.append({"coset": codec.key_text(key), "witness": None, "passed": False})
-                continue
+    if not report.passed:
+        return _verdict(report, payload)
+    mu = _measure(space, space.full_window(), cfg)
+    invariance = []
+    for key in sorted(report.witnesses):
+        h = report.witnesses[key]
+        row = {"coset": codec.key_text(key), "witness": None, "passed": False}
+        if h is not None:
             verdict = transfer_invariance_check(space, mu, space.coset(space.group.element(key)), h)
-            invariance.append(
-                {
-                    "coset": codec.key_text(key),
-                    "witness": space.group.describe_element(h.payload),
-                    "passed": verdict.passed,
-                }
-            )
-        payload["invariance"] = invariance
-        if all(row["passed"] for row in invariance):
-            return 0, payload, None
-        return 2, payload, {"invariance_failures": [r for r in invariance if not r["passed"]]}
-    return _verdict(report, payload)
+            row.update(witness=space.group.describe_element(h.payload), passed=verdict.passed)
+        invariance.append(row)
+    payload["invariance"] = invariance
+    return payload, _witness("invariance_failures", [r for r in invariance if not r["passed"]])
 
 
-# command name -> handler(space or None, config) -> (exit code, payload, witness)
+# command name -> handler(space or None, config) -> (payload, witness or None)
 COMMANDS = {
     "describe": _cmd_describe,
     "axioms": _cmd_axioms,
@@ -498,7 +480,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             space = space_by_name(space_cfg["name"])
         if space is None and handler is not _cmd_harem:
             raise ConfigError("config needs a space block")
-        code, payload, witness = handler(space, cfg)
+        payload, witness = handler(space, cfg)
     except (ConfigError, CellSpacesError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -509,10 +491,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write(_csv(header, rows), args.out)
     else:
         _write(_json({"header": header, "command": args.command, "result": payload}), args.out)
-    if code == 2 and witness is not None:
-        witness_path = args.out + ".witness.json" if args.out else None
-        _write(_json({"header": header, "witness": witness}), witness_path)
-    return code
+    if witness is None:
+        return 0
+    witness_path = args.out + ".witness.json" if args.out else None
+    _write(_json({"header": header, "witness": witness}), witness_path)
+    return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@ from typing import Optional, Sequence
 from .errors import ConstructionError
 from .spaces import CellSpace, Coset, ExpansionSet, Window
 
+# each step of doubling_from_failure forms |E|·|G0|·|E2| coset products, and
+# |E| grows about |E2|-fold per step; free:2 with epsilon = 1/10 peaks at 21,865
+DOUBLING_MAX_PRODUCTS = 100_000
+
 
 @dataclass(frozen=True)
 class RatioRecord:
@@ -110,7 +114,8 @@ def doubling_from_failure(
     Requires evidence (an exhausted search) that every family member has an
     outward ratio >= epsilon for some coset in E1. Builds E2 = {G0} u E1,
     xi = 1 + epsilon/|G0|, n minimal with xi^n >= 2, and E as the n-fold
-    composition of E2 with itself.
+    composition of E2 with itself. A step that would form more than
+    ``DOUBLING_MAX_PRODUCTS`` coset products is refused before it runs.
     """
     if epsilon <= 0:
         raise ConstructionError("epsilon must be positive")
@@ -128,7 +133,14 @@ def doubling_from_failure(
         power *= xi
         n += 1
     E = E2
-    for _ in range(n - 1):
+    for step in range(2, n + 1):
+        products = len(E) * len(space.stabilizer) * len(E2)
+        if products > DOUBLING_MAX_PRODUCTS:
+            raise ConstructionError(
+                f"doubling set needs n = {n} compositions of |E2| = {len(E2)} cosets; "
+                f"step {step} would form {products} coset products, above the limit "
+                f"{DOUBLING_MAX_PRODUCTS}"
+            )
         E = _compose_sets(space, E, E2)
     if not E.contains_identity:
         raise ConstructionError("identity coset lost while composing expansion sets")

@@ -174,14 +174,18 @@ def solve_harem(
             net.add_edge(v, tt, -excess[v])
     flow = net.max_flow(ss, tt)
     if flow < need:
+        # the reached set S is a minimum cut. If t is in S, every left vertex
+        # in S has all its neighbours in S, so the required right vertices
+        # outside S have fewer than 1/k as many neighbours. Otherwise the
+        # left vertices in S reach fewer than k times as many right vertices.
         reach = net.residual_reachable(ss)
+        if t in reach:
+            B = tuple(
+                y for y in range(n_right) if right_required[y] and (1 + n_left + y) not in reach
+            )
+            return HaremViolation("right", B, n_left_of(adjacency, B), k)
         A = tuple(x for x in range(n_left) if (1 + x) in reach)
-        if A:
-            return HaremViolation("left", A, n_right_of(adjacency, A), k)
-        B = tuple(
-            y for y in range(n_right) if right_required[y] and (1 + n_left + y) in reach
-        )
-        return HaremViolation("right", B, n_left_of(adjacency, B), k)
+        return HaremViolation("left", A, n_right_of(adjacency, A), k)
     pairs = []
     for (x, y), eid in mid.items():
         if net.flow_on(eid) > 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConstructionError, IntegrityError, ScopeMismatchError, UncertifiedWindowError
 from .spaces import CellSpace, Coset, Window, point_key
@@ -199,11 +199,9 @@ def empirical_mean_defect(
     F: Sequence,
     coset: Coset,
     f: BoundedFn,
-    universe: Optional[Window] = None,
+    universe: Window,
 ) -> tuple[Fraction, Fraction]:
     """|(nu_F <~ coset - nu_F)(f)| and the (ratio_in + ratio_out)*||f|| bound."""
-    if universe is None:
-        universe = f.universe
     if not F:
         raise ConstructionError("F must be non-empty")
     pre = space.preimage(coset, list(F), universe)

@@ -46,13 +46,11 @@ class SubgroupSample:
     """A subgroup given by a membership test; ``elements`` is a finite
     enumeration when available, else a sample generated from generators."""
 
-    name: str
     member: Callable[[GroupElement], bool]
     elements: list
 
 
 def subgroup_sample(
-    name: str,
     group: Group,
     generators: Sequence[GroupElement],
     member: Callable[[GroupElement], bool],
@@ -62,7 +60,7 @@ def subgroup_sample(
     steps = gens + [s.inverse() for s in gens]
     layers = bfs_layers(group.identity(), lambda g: map(operator.mul, repeat(g), steps), radius)
     elements = sorted(itertools.chain.from_iterable(layers))
-    return SubgroupSample(name, member, elements)
+    return SubgroupSample(member, elements)
 
 
 @dataclass
@@ -289,7 +287,6 @@ def affine_translations(space: FiniteSpace) -> SubgroupSample:
         tuple(fld.add(i, b) for i in range(q)) for b in range(q)
     }
     return SubgroupSample(
-        "translations",
         lambda g: g.payload in translations,
         [space.group.element(p) for p in sorted(translations)],
     )
@@ -300,7 +297,6 @@ def affine_dilations(space: FiniteSpace) -> SubgroupSample:
     q = fld.q
     dilations = {tuple(fld.mul(a, i) for i in range(q)) for a in range(1, q)}
     return SubgroupSample(
-        "dilations",
         lambda g: g.payload in dilations,
         [space.group.element(p) for p in sorted(dilations)],
     )

@@ -492,9 +492,15 @@ _BASES = [
     | _json,
 )
 def test_config_fuzz_ends_in_an_exit_code(command, cfg):
-    """Any config block shape ends in exit 0, 1 or 2; no exception escapes."""
+    """Any config block shape ends in exit 0, 1 or 2; no exception escapes.
+    A witness file is written exactly on exit 2, and exit 1 writes no report."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        assert run([command, "--config", path, "--out", os.path.join(tmp, "o.json")]) in (0, 1, 2)
+        out = os.path.join(tmp, "o.json")
+        code = run([command, "--config", path, "--out", out])
+        assert code in (0, 1, 2)
+        assert os.path.exists(out + ".witness.json") == (code == 2)
+        if code == 1:
+            assert not os.path.exists(out)

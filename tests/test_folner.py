@@ -100,6 +100,32 @@ def test_doubling_from_failure_builds_valid_set():
     assert report.passed
 
 
+def _free2_ball_evidence(sp, E1, epsilon):
+    w = sp.ball_window(4, 5)
+    return folner_search(sp, E1, epsilon, ball_family(sp, range(1, 5)), w)
+
+
+def test_doubling_from_failure_within_the_size_bound():
+    # n = 8 composes E2 = ball(1) up to ball(8), of 2 * 3^8 - 1 words; its
+    # largest step forms |ball(7)| * 5 = 21,865 coset products
+    sp = space_by_name("free:2")
+    E1 = unit_cosets(sp)
+    epsilon = Fraction(1, 10)
+    construction = doubling_from_failure(sp, E1, epsilon, _free2_ball_evidence(sp, E1, epsilon))
+    assert construction.n == 8
+    assert len(construction.E) == 2 * 3**8 - 1
+
+
+def test_doubling_from_failure_refuses_a_step_over_the_size_bound():
+    # n = 15 would reach ball(15); step 10 alone forms |ball(9)| * 5 = 196,825
+    sp = space_by_name("free:2")
+    E1 = unit_cosets(sp)
+    epsilon = Fraction(1, 20)
+    evidence = _free2_ball_evidence(sp, E1, epsilon)
+    with pytest.raises(ConstructionError, match=r"n = 15 .*\|E2\| = 5 .*step 10 .*196825 .*100000"):
+        doubling_from_failure(sp, E1, epsilon, evidence)
+
+
 def test_doubling_from_failure_rejects_positive_evidence():
     sp = space_by_name("zd:2")
     E = unit_cosets(sp)

@@ -117,7 +117,7 @@ def test_transfer_invariance_detects_wrong_witness():
 def test_lattice_trivial_transfer():
     sp = space_by_name("zd:2")
     g = sp.group
-    H = subgroup_sample("all", g, g.positive_generators(), lambda x: True, radius=4)
+    H = subgroup_sample(g, g.positive_generators(), lambda x: True, radius=4)
     w = sp.ball_window(2, 3)
     report = check_transfer_conditions(sp, H, sample=w)
     assert report.passed, report.failures()
