@@ -38,7 +38,6 @@ from .measures import (
     FAMeasure,
     MeanVector,
     check_semi_invariance,
-    check_semi_invariance_subsets,
     empirical_mean_defect,
     funcamact,
     indicator,
@@ -79,7 +78,6 @@ from .transfer import (
     affine_dilations,
     affine_space,
     affine_translations,
-    build_semidirect_cellspace,
     check_transfer_conditions,
     hyperoct_space,
     inverse_pair_witness,

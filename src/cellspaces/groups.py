@@ -378,6 +378,8 @@ class SemidirectProduct(Group):
     def __init__(self, g0_group: Group, h_group: Group, tau: dict):
         if not g0_group.is_finite:
             raise ConstructionError("semidirect factor G0 must be finite")
+        if h_group.is_finite:
+            raise ConstructionError("semidirect factor H must be infinite (Z^d or F_k)")
         self.G0 = g0_group
         self.H = h_group
         self.tau = dict(tau)
@@ -461,18 +463,6 @@ class SemidirectProduct(Group):
         g0i = self.G0._inv(g0)
         hi = self.tau_apply(g0i, self.H.element(self.H._inv(h)))
         return (g0i, hi.payload)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.G0.is_finite and self.H.is_finite
-
-    def elements(self) -> list[GroupElement]:
-        out = [
-            (g.payload, h.payload)
-            for g in self.G0.elements()
-            for h in self.H.elements()
-        ]
-        return [GroupElement(self, p) for p in sorted(out)]
 
     def describe_element(self, payload: Payload) -> str:
         return f"({self.G0.describe_element(payload[0])}, {self.H.describe_element(payload[1])})"

@@ -7,13 +7,11 @@ violation witness from the residual reachability of the final flow.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError
-from .groups import bfs_layers
 
 INF = 10**18
 
@@ -92,12 +90,6 @@ class Dinic:
                 total += f
         return total
 
-    def residual_reachable(self, s: int) -> set[int]:
-        """The vertices reachable from s along edges with residual capacity."""
-        to, cap, adj = self.to, self.cap, self.adj
-        layers = bfs_layers(s, lambda u: (to[eid] for eid in adj[u] if cap[eid] > 0))
-        return set(itertools.chain.from_iterable(layers))
-
 
 @dataclass(frozen=True)
 class HaremViolation:
@@ -174,11 +166,13 @@ def solve_harem(
             net.add_edge(v, tt, -excess[v])
     flow = net.max_flow(ss, tt)
     if flow < need:
-        # the reached set S is a minimum cut. If t is in S, every left vertex
-        # in S has all its neighbours in S, so the required right vertices
-        # outside S have fewer than 1/k as many neighbours. Otherwise the
-        # left vertices in S reach fewer than k times as many right vertices.
-        reach = net.residual_reachable(ss)
+        # the last, failing phase leveled every vertex the final residual
+        # graph reaches from ss, and that reached set S is a minimum cut. If
+        # t is in S, every left vertex in S has all its neighbours in S, so
+        # the required right vertices outside S have fewer than 1/k as many
+        # neighbours. Otherwise the left vertices in S reach fewer than k
+        # times as many right vertices.
+        reach = {v for v, lv in enumerate(net.level) if lv >= 0}
         if t in reach:
             B = tuple(
                 y for y in range(n_right) if right_required[y] and (1 + n_left + y) not in reach

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConstructionError, IntegrityError, ScopeMismatchError, UncertifiedWindowError
-from .spaces import CellSpace, Coset, Window, point_key
+from .spaces import CellSpace, Coset, Window
 
 
 @dataclass(frozen=True)
@@ -175,23 +175,6 @@ def check_semi_invariance(space: CellSpace, mu: FAMeasure) -> SemiInvarianceRepo
             if mu.weight(moved) != mu.weight(m):
                 report.violations.append((m, coset.key))
     return report
-
-
-def check_semi_invariance_subsets(space: CellSpace, mu: FAMeasure) -> bool:
-    """Definition-level check over all subsets; exponential, test-scale only."""
-    import itertools
-
-    pts = space.points()
-    for coset in space.cosets():
-        images = {point_key(m): space.semi_action(m, coset) for m in pts}
-        for r in range(len(pts) + 1):
-            for A in itertools.combinations(pts, r):
-                moved = [images[point_key(m)] for m in A]
-                if len(set(point_key(x) for x in moved)) != len(A):
-                    continue  # not injective on A
-                if mu.measure(moved) != mu.measure(A):
-                    return False
-    return True
 
 
 def empirical_mean_defect(

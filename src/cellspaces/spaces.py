@@ -229,10 +229,9 @@ class CellSpace:
     def semi_action(self, m, coset: Coset):
         return self.left_action(self.coord(m) * coset.rep, self.m0)
 
-    def semi_action_set(self, A: Iterable, E: Iterable[Coset]) -> list:
-        """A |> E, deterministically ordered."""
-        out = {self.semi_action(m, e) for m in A for e in E}
-        return sorted(out, key=point_key)
+    def semi_action_set(self, A: Iterable, E: Iterable[Coset]) -> set:
+        """A |> E."""
+        return {self.semi_action(m, e) for m in A for e in E}
 
     def preimage(self, coset: Coset, A: Sequence, universe: Window) -> PreimageResult:
         halo = universe.halo_set
@@ -280,9 +279,8 @@ class CellSpace:
             for ep in E_prime
         )
         result = list(ExpansionSet.of(composed))
-        lhs = set(self.semi_action_set(self.semi_action_set([m], E), E_prime))
-        rhs = set(self.semi_action_set([m], result))
-        if lhs != rhs:
+        lhs = self.semi_action_set(self.semi_action_set([m], E), E_prime)
+        if lhs != self.semi_action_set([m], result):
             raise IntegrityError("composed expansion set fails the extensional check")
         if len(result) > len(E) * len(E_prime):
             raise IntegrityError("composed expansion set exceeds the |E|*|E'| bound")
@@ -481,41 +479,21 @@ class GroupAsSpace(CellSpace):
 
 
 class SemidirectCellSpace(CellSpace):
-    """Cell space over G0 x| H built from a principal left H-space.
+    """Cell space over G0 x| H whose points are the elements of H.
 
-    The left action is ``(g0,h) . m = h .H (tau(g0)(h_{m0,m}) .H m0)`` and the
-    coordinates are ``(e, h_{m0,m})``; the stabilizer of m0 is G0 x {e},
-    which construction checks on a sampled ball.
+    The left action is ``(g0,h) . m = h tau(g0)(m)``, the origin is e and the
+    coordinates are ``(e, m)``; the stabilizer of e is G0 x {e}, which
+    construction checks on a sampled ball.
     """
 
     coordinate_rule = "g_{m0,m} = (e, h_{m0,m})"
 
-    def __init__(self, h_space: CellSpace, sd: SemidirectProduct, name: str = "semidirect"):
-        if h_space.group.signature != sd.H.signature:
-            raise ConstructionError("H-space group does not match the semidirect H factor")
-        self.h_space = h_space
+    def __init__(self, sd: SemidirectProduct, name: str = "semidirect"):
         self.sd = sd
-        if len(h_space.stabilizer) != 1:
-            raise ConstructionError(
-                "the H-space must be principal (free action, trivial stabilizer)"
-            )
         stab = [sd.pair(g0, sd.H.identity()) for g0 in sd.G0.elements()]
-        super().__init__(sd, h_space.m0, stab)
+        super().__init__(sd, sd.H.identity(), stab)
         self.name = name
-        self._check_freeness()
         self._check_stabilizer()
-
-    def _check_freeness(self) -> None:
-        hs = self.h_space
-        sample = [hs.left_action(g, hs.m0) for g in hs.group.ball(2)]
-        for g in hs.group.ball(2):
-            if g.payload == hs.group._identity():
-                continue
-            for m in sample[:6]:
-                if hs.left_action(g, m) == m:
-                    raise ConstructionError(
-                        f"H-action is not free: witness (h={g!r}, m={m!r})"
-                    )
 
     def _check_stabilizer(self) -> None:
         eh = self.sd.H._identity()
@@ -527,33 +505,23 @@ class SemidirectCellSpace(CellSpace):
 
     def left_action(self, g: GroupElement, m):
         g0, h = self.sd.parts(g)
-        twisted = self.sd.tau_apply(g0.payload, self.h_space.coord(m))
-        inner = self.h_space.left_action(twisted, self.h_space.m0)
-        return self.h_space.left_action(h, inner)
+        return h * self.sd.tau_apply(g0.payload, m)
 
     def coord(self, m) -> GroupElement:
-        return self.sd.pair(self.sd.G0.identity(), self.h_space.coord(m))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.h_space.is_finite
-
-    def points(self) -> list:
-        return self.h_space.points()
+        return self.sd.pair(self.sd.G0.identity(), m)
 
     def exact_preimage_point(self, coset: Coset, a) -> list:
-        # m |> (g0,t)G0 = (h_{m0,m} t) .H m0, so the preimage is one point
+        # m |> (g0,t)G0 = m t, so the preimage is one point
         _, t = self.sd.parts(coset.rep)
-        h = self.h_space.coord(a) * t.inverse()
-        return [self.h_space.left_action(h, self.h_space.m0)]
+        return [a * t.inverse()]
 
     def ball_window(self, core_radius: int, halo_radius: int) -> Window:
-        """Sup-norm boxes for a lattice H-space, else orbit balls."""
-        hs = self.h_space
-        if isinstance(hs.group, FreeAbelianGroup) and isinstance(hs, GroupAsSpace):
-            return box_window(hs.group, core_radius, halo_radius)
+        """Sup-norm boxes when H is a lattice, else balls of H sorted by key."""
+        H = self.sd.H
+        if isinstance(H, FreeAbelianGroup):
+            return box_window(H, core_radius, halo_radius)
         return Window(
-            hs.orbit_ball(core_radius),
-            hs.orbit_ball(halo_radius),
-            f"orbit ball r={core_radius}, halo r={halo_radius}",
+            tuple(sorted(H.ball(core_radius), key=point_key)),
+            tuple(sorted(H.ball(halo_radius), key=point_key)),
+            f"ball r={core_radius}, halo r={halo_radius}",
         )

@@ -1,6 +1,6 @@
 """Left-to-right amenability transfer: condition checkers for the transfer
-lemmas, the semidirect cell-space builder, and the concrete example spaces
-(affine maps over small finite fields, signed permutations over lattices).
+lemmas and the concrete example spaces (affine maps over small finite fields,
+signed permutations over lattices).
 
 The sufficient conditions are: G factors as G0 H, the restricted H-action is
 free and transitive, and all coordinates lie in the centre of H. Under them
@@ -178,13 +178,6 @@ def transfer_invariance_check(
 # builders
 
 
-def build_semidirect_cellspace(
-    h_space: CellSpace, g0_group: Group, tau: dict, name: str = "semidirect"
-) -> SemidirectCellSpace:
-    """Cell space over G0 x| H from a principal left H-space."""
-    return SemidirectCellSpace(h_space, SemidirectProduct(g0_group, h_space.group, tau), name=name)
-
-
 class _FiniteField:
     """F_q for q <= 9; elements are 0..q-1, base-p digits as coefficients.
 
@@ -315,9 +308,9 @@ def hyperoct_space(d: int) -> SemidirectCellSpace:
             f"hyperoct:{d} exceeds the largest supported rank {HYPEROCT_MAX_RANK}"
         )
     g0 = SignedPermutationGroup(d)
-    lattice = GroupAsSpace(FreeAbelianGroup(d), name=f"z{d}-principal")
-    tau = hyperoctahedral_tau(g0, lattice.group)
-    return build_semidirect_cellspace(lattice, g0, tau, name=f"hyperoct:{d}")
+    lattice = FreeAbelianGroup(d)
+    tau = hyperoctahedral_tau(g0, lattice)
+    return SemidirectCellSpace(SemidirectProduct(g0, lattice, tau), name=f"hyperoct:{d}")
 
 
 def space_by_name(name: str) -> CellSpace:

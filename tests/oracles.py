@@ -93,3 +93,19 @@ def perfect_harem_exists(n_left: int, n_right: int, adjacency, k: int) -> bool:
         return False
 
     return extend(0)
+
+
+def check_semi_invariance_subsets(space, mu) -> bool:
+    """Definition-level semi-invariance over all subsets A on which each coset
+    map is injective: mu(A |> coset) = mu(A). Exponential, test-scale only."""
+    pts = space.points()
+    for coset in space.cosets():
+        images = {m: space.semi_action(m, coset) for m in pts}
+        for r in range(len(pts) + 1):
+            for A in itertools.combinations(pts, r):
+                moved = [images[m] for m in A]
+                if len(set(moved)) != len(A):
+                    continue  # not injective on A
+                if mu.measure(moved) != mu.measure(A):
+                    return False
+    return True

@@ -10,7 +10,6 @@ from cellspaces import (
     UncertifiedWindowError,
     affine_space,
     check_semi_invariance,
-    check_semi_invariance_subsets,
     empirical_mean_defect,
     funcamact,
     indicator,
@@ -19,6 +18,7 @@ from cellspaces import (
     measure_semiaction,
     space_by_name,
 )
+from oracles import check_semi_invariance_subsets
 
 
 def random_measure(universe, rng):

@@ -6,7 +6,6 @@ from cellspaces import (
     ConstructionError,
     FiniteSpace,
     FreeGroup,
-    GroupAsSpace,
     IntegrityError,
     PermutationGroup,
     ScopeMismatchError,
@@ -152,19 +151,15 @@ def test_finite_space_requires_valid_coordinates():
 
 def test_semidirect_space_matches_sign_flip_example():
     # G0 = {+-1}, H = Z, tau(-1) = negation: (-1, 3) applied to 4 gives -1
-    from cellspaces import (
-        FreeAbelianGroup,
-        SemidirectProduct,
-        build_semidirect_cellspace,
-    )
+    from cellspaces import FreeAbelianGroup, SemidirectCellSpace, SemidirectProduct
 
     g0 = PermutationGroup(2, [(1, 0)])
-    lattice = GroupAsSpace(FreeAbelianGroup(1))
+    lattice = FreeAbelianGroup(1)
     tau = {((0, 1), 0): (1,), ((1, 0), 0): (-1,)}
-    sp = build_semidirect_cellspace(lattice, g0, tau, name="sign-flip")
+    sp = SemidirectCellSpace(SemidirectProduct(g0, lattice, tau), name="sign-flip")
     sd = sp.sd
     g = sd.pair(sd.G0.element((1, 0)), sd.H.element((3,)))
-    m = lattice.group.element((4,))
+    m = lattice.element((4,))
     assert sp.left_action(g, m).payload == (-1,)
     assert len(sp.stabilizer) == 2
 

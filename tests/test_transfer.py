@@ -7,13 +7,14 @@ from cellspaces import (
     ConstructionError,
     FAMeasure,
     FreeAbelianGroup,
-    GroupAsSpace,
+    FreeGroup,
     PermutationGroup,
+    SemidirectCellSpace,
+    SemidirectProduct,
     Window,
     affine_dilations,
     affine_space,
     affine_translations,
-    build_semidirect_cellspace,
     check_semi_invariance,
     check_transfer_conditions,
     hyperoct_space,
@@ -24,6 +25,7 @@ from cellspaces import (
     verify_axioms,
 )
 from cellspaces.transfer import _FiniteField
+from oracles import free2_words
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -131,13 +133,65 @@ def test_hyperoct_space_stabilizer_and_axioms():
     assert rep.passed, rep.failures()
 
 
+def _signed_permutations_by_hand(d):
+    return [
+        tuple(s * (j + 1) for s, j in zip(signs, perm))
+        for perm in itertools.permutations(range(d))
+        for signs in itertools.product((1, -1), repeat=d)
+    ]
+
+
+def _apply_by_hand(g0, v):
+    # entry i = +-(j+1) sends e_i to +-e_j
+    out = [0] * len(v)
+    for i, t in enumerate(g0):
+        out[abs(t) - 1] += (1 if t > 0 else -1) * v[i]
+    return tuple(out)
+
+
+def test_hyperoct2_acts_on_the_lattice_as_the_by_hand_oracle():
+    sp = hyperoct_space(2)
+    sd = sp.sd
+    box = list(itertools.product(range(-1, 2), repeat=2))
+    g0s = _signed_permutations_by_hand(2)
+    assert sorted(g0s) == [g.payload for g in sd.G0.elements()]
+    for g0, h, m in itertools.product(g0s, box, box):
+        moved = sp.left_action(sd.pair(sd.G0.element(g0), sd.H.element(h)), sd.H.element(m))
+        assert moved.payload == tuple(x + y for x, y in zip(h, _apply_by_hand(g0, m)))
+    for g0, t, m in itertools.product(g0s, box, box):
+        coset = sp.coset(sd.pair(sd.G0.element(g0), sd.H.element(t)))
+        assert sp.semi_action(sd.H.element(m), coset).payload == (m[0] + t[0], m[1] + t[1])
+        fiber = sp.exact_preimage_point(coset, sd.H.element(m))
+        assert [p.payload for p in fiber] == [(m[0] - t[0], m[1] - t[1])]
+
+
+@pytest.mark.parametrize("gens", [[(1, 2, 0)], []], ids=["cyclic", "trivial"])
+def test_semidirect_product_refuses_a_finite_h(gens):
+    g0 = PermutationGroup(2, [(1, 0)])
+    H = PermutationGroup(3, gens)
+    tau = {(g, 0): p for g in [(0, 1), (1, 0)] for p in gens}
+    with pytest.raises(ConstructionError):
+        SemidirectProduct(g0, H, tau)
+
+
+def test_semidirect_space_over_a_free_h_uses_sorted_balls():
+    # G0 = Z/2 swapping the letters of F_2
+    g0 = PermutationGroup(2, [(1, 0)])
+    tau = {((0, 1), 0): (1,), ((0, 1), 1): (2,), ((1, 0), 0): (2,), ((1, 0), 1): (1,)}
+    sp = SemidirectCellSpace(SemidirectProduct(g0, FreeGroup(2), tau), name="free-swap")
+    w = sp.ball_window(1, 2)
+    assert [m.payload for m in w.core] == sorted(free2_words(1))
+    assert [m.payload for m in w.halo] == sorted(free2_words(2))
+    rep = verify_axioms(sp, w, [sp.coset(g) for g in sp.group.ball(1)])
+    assert rep.passed, rep.failures()
+
+
 def test_semidirect_builder_requires_total_tau():
     g0 = PermutationGroup(2, [(1, 0)])
-    lattice = GroupAsSpace(FreeAbelianGroup(2))
     # table only covers the first lattice generator
     tau = {((0, 1), 0): (1, 0), ((1, 0), 0): (-1, 0)}
     with pytest.raises(ConstructionError):
-        build_semidirect_cellspace(lattice, g0, tau)
+        SemidirectCellSpace(SemidirectProduct(g0, FreeAbelianGroup(2), tau))
 
 
 def test_space_by_name_rejects_unknown():
