@@ -137,7 +137,7 @@ def _family(space: CellSpace, cfg: dict) -> list:
         return [(f"box:{n}", box_points(space.group, 0, n)) for n in sizes]
     if kind == "balls":
         radii = [_natural(r, "a ball radius") for r in _list(fcfg.get("radii"), "radii")]
-        return [(f"ball:{r}", space.orbit_ball(r)) for r in radii]
+        return list(zip([f"ball:{r}" for r in radii], space.orbit_balls(radii)))
     raise ConfigError(f"unknown family kind {kind!r}")
 
 

@@ -11,6 +11,7 @@ ordered, which keeps every enumeration in the package deterministic.
 from __future__ import annotations
 
 import itertools
+import operator
 from itertools import repeat
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -293,10 +294,10 @@ class FreeAbelianGroup(Group):
         return gens
 
     def _mul(self, a: Payload, b: Payload) -> Payload:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def _inv(self, a: Payload) -> Payload:
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
@@ -438,9 +439,6 @@ class SemidirectProduct(Group):
 
     def pair(self, g0: GroupElement, h: GroupElement) -> GroupElement:
         return GroupElement(self, (g0.payload, h.payload))
-
-    def parts(self, g: GroupElement) -> tuple[GroupElement, GroupElement]:
-        return self.G0.element(g.payload[0]), self.H.element(g.payload[1])
 
     def _identity(self) -> Payload:
         return (self.G0._identity(), self.H._identity())

@@ -197,15 +197,25 @@ class CellSpace:
     def points(self) -> list:
         raise NotImplementedError(f"{self.name} has infinitely many points")
 
-    def orbit_ball(self, r: int) -> tuple:
-        """The points g . m0 for g in the group's ball of radius r, sorted.
+    def orbit_balls(self, radii: Sequence[int]) -> list[tuple]:
+        """For each radius r, in the order given, the points g . m0 for g in
+        the group's ball of radius r, sorted.
 
         They are the points r steps of ``m -> s . m`` reach from m0, s a
-        generator or its inverse, so the search walks points, not elements.
+        generator or its inverse, so the search walks points, not elements,
+        and one walk to the largest radius gives every ball as a prefix of
+        its layers.
         """
+        if any(r < 0 for r in radii):
+            raise ValueError("radius must be non-negative")
+        if not radii:
+            return []
         gens = [self.group.element(p) for p in self.group._symmetric_payloads()]
-        layers = bfs_layers(self.m0, lambda m: map(self.left_action, gens, repeat(m)), r)
-        return tuple(sorted(itertools.chain.from_iterable(layers), key=point_key))
+        layers = bfs_layers(self.m0, lambda m: map(self.left_action, gens, repeat(m)), max(radii))
+        return [
+            tuple(sorted(itertools.chain.from_iterable(layers[: r + 1]), key=point_key))
+            for r in radii
+        ]
 
     def full_window(self) -> Window:
         """All points of a finite space, as both core and halo."""
@@ -484,6 +494,13 @@ class SemidirectCellSpace(CellSpace):
     The left action is ``(g0,h) . m = h tau(g0)(m)``, the origin is e and the
     coordinates are ``(e, m)``; the stabilizer of e is G0 x {e}, which
     construction checks on a sampled ball.
+
+    With these coordinates the semi-action collapses to
+    ``m |> (g0,t)G0 = (e,m)(g0,t) . e = m t``, and the fiber of a under
+    ``(g0,t)G0`` is the single point ``a t^-1``; both are computed on H
+    payloads. They hold only for the coordinates ``(e, m)``: twisted
+    coordinates ``(sigma(m), m)`` give ``m tau(sigma(m))(t)`` and up to |G0|
+    points per fiber.
     """
 
     coordinate_rule = "g_{m0,m} = (e, h_{m0,m})"
@@ -504,16 +521,20 @@ class SemidirectCellSpace(CellSpace):
                 )
 
     def left_action(self, g: GroupElement, m):
-        g0, h = self.sd.parts(g)
-        return h * self.sd.tau_apply(g0.payload, m)
+        g0, h = g.payload
+        H = self.sd.H
+        return GroupElement(H, H._mul(h, self.sd.tau_apply(g0, m).payload))
 
     def coord(self, m) -> GroupElement:
         return self.sd.pair(self.sd.G0.identity(), m)
 
+    def semi_action(self, m, coset: Coset):
+        H = self.sd.H
+        return GroupElement(H, H._mul(m.payload, coset.rep.payload[1]))
+
     def exact_preimage_point(self, coset: Coset, a) -> list:
-        # m |> (g0,t)G0 = m t, so the preimage is one point
-        _, t = self.sd.parts(coset.rep)
-        return [a * t.inverse()]
+        H = self.sd.H
+        return [GroupElement(H, H._mul(a.payload, H._inv(coset.rep.payload[1])))]
 
     def ball_window(self, core_radius: int, halo_radius: int) -> Window:
         """Sup-norm boxes when H is a lattice, else balls of H sorted by key."""

@@ -284,6 +284,18 @@ def test_ball_order_matches_the_reference(make):
         group.ball(-1)
 
 
+def test_ball_family_is_one_walk():
+    # a walk of 24 steps moves every point of ball(23) by every generator, once
+    sp = hyperoct_space(2)
+    gens = sp.group._symmetric_payloads()
+    inner = sp.orbit_balls([23])[0]
+    counts = counting(sp)
+    assert sp.orbit_balls([]) == []
+    assert counts["left_action"] == 0
+    sp.orbit_balls([4, 8, 12, 16, 20, 24])
+    assert counts["left_action"] == len(gens) * len(inner)
+
+
 def _load_layers():
     path = os.path.join(ROOT, "bench", "layers.py")
     spec = importlib.util.spec_from_file_location("bench_layers", path)

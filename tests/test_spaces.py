@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from cellspaces import (
+    CellSpace,
     ConstructionError,
     FiniteSpace,
     FreeGroup,
@@ -167,8 +169,49 @@ def test_semidirect_space_matches_sign_flip_example():
 @pytest.mark.parametrize("name", ["hyperoct:2", "free:2", "zd:2", "affine:5"])
 def test_orbit_ball_matches_the_group_ball(name):
     sp = space_by_name(name)
+    reference = {
+        r: sorted({sp.left_action(g, sp.m0) for g in sp.group.ball(r)}, key=point_key)
+        for r in [*range(6), 8]
+    }
     for r in range(6):
-        reference = sorted({sp.left_action(g, sp.m0) for g in sp.group.ball(r)}, key=point_key)
-        assert list(sp.orbit_ball(r)) == reference
+        assert [list(b) for b in sp.orbit_balls([r])] == [reference[r]]
+    assert [list(b) for b in sp.orbit_balls(range(6))] == [reference[r] for r in range(6)]
+    assert [list(b) for b in sp.orbit_balls([8, 4, 8])] == [reference[r] for r in (8, 4, 8)]
+    assert sp.orbit_balls([]) == []
     with pytest.raises(ValueError):
-        sp.orbit_ball(-1)
+        sp.orbit_balls([-1])
+    with pytest.raises(ValueError):
+        sp.orbit_balls([-1, 3])
+
+
+def _check_semi_action_override(sp, ms, reps):
+    for m in ms:
+        for g in reps:
+            c = sp.coset(g)
+            moved = sp.semi_action(m, c)
+            assert moved == CellSpace.semi_action(sp, m, c)
+            assert m in sp.exact_preimage_point(c, moved)
+
+
+def test_semidirect_semi_action_matches_the_general_formula_on_hyperoct():
+    sp = space_by_name("hyperoct:2")
+    sd = sp.sd
+    ts = [sd.H.element(v) for v in itertools.product(range(-2, 3), repeat=2)]
+    reps = [sd.pair(g0, t) for g0 in sd.G0.elements() for t in ts]
+    ms = [sd.H.element(v) for v in itertools.product(range(-3, 4), repeat=2)]
+    assert len(reps) == 8 * 25
+    _check_semi_action_override(sp, ms, reps)
+
+
+def test_semidirect_semi_action_matches_the_general_formula_over_a_free_h():
+    # G0 = Z/2 swapping the letters of F_2; H = F_2 is not abelian, so a
+    # semi-action computed as t m would fail
+    from cellspaces import SemidirectCellSpace, SemidirectProduct
+
+    g0 = PermutationGroup(2, [(1, 0)])
+    tau = {((0, 1), 0): (1,), ((0, 1), 1): (2,), ((1, 0), 0): (2,), ((1, 0), 1): (1,)}
+    sp = SemidirectCellSpace(SemidirectProduct(g0, FreeGroup(2), tau), name="free-swap")
+    sd = sp.sd
+    words = sd.H.ball(2)
+    assert any(m * t != t * m for m in words for t in words)
+    _check_semi_action_override(sp, words, [sd.pair(g, t) for g in sd.G0.elements() for t in words])
