@@ -17,7 +17,8 @@ Config schema (JSON, one object)::
                                             # doubling reads no window block
       "E": [[1, 0], [-1, 0]],               # coset representative payloads
       "epsilon": "1/10",                    # rationals are "p/q" strings
-      "family": {"kind": "boxes", "sizes": [1, 2, 3]},  # or "balls"/"full"
+      "family": {"kind": "boxes", "sizes": [1, 2, 3]},  # or "balls"/"full";
+                                            # boxes need zd:d or hyperoct:d
       "k": 2,                               # harem fiber size
       "graph": {"left": 3, "right": 6, "edges": [[0, 1], ...]},  # explicit harem input
       "measure": {"kind": "uniform"},       # or {"kind": "point_mass", "at": ...}
@@ -111,8 +112,6 @@ def _window(space: CellSpace, cfg: dict) -> Window:
         raise ConfigError(f"{space.name} takes no window block: its window is the whole space")
     core_r = _natural(wcfg.get("core_radius"), "core_radius")
     halo_r = _natural(wcfg.get("halo_radius"), "halo_radius")
-    if halo_r < core_r:
-        raise ConfigError("halo_radius must be at least core_radius")
     return space.ball_window(core_r, halo_r)
 
 
@@ -131,10 +130,11 @@ def _family(space: CellSpace, cfg: dict) -> list:
             raise ConfigError("full family needs a finite space")
         return [("full", list(space.points()))]
     if kind == "boxes":
-        if not isinstance(space.group, FreeAbelianGroup):
-            raise ConfigError("boxes family needs a lattice space")
+        lattice = space.point_group
+        if not isinstance(lattice, FreeAbelianGroup):
+            raise ConfigError("boxes family needs a lattice point group (zd:d or hyperoct:d)")
         sizes = [_natural(n, "a box size") for n in _list(fcfg.get("sizes"), "sizes")]
-        return [(f"box:{n}", box_points(space.group, 0, n)) for n in sizes]
+        return [(f"box:{n}", box_points(lattice, 0, n)) for n in sizes]
     if kind == "balls":
         radii = [_natural(r, "a ball radius") for r in _list(fcfg.get("radii"), "radii")]
         return list(zip([f"ball:{r}" for r in radii], space.orbit_balls(radii)))

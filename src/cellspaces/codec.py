@@ -100,13 +100,12 @@ def encode_point(m):
 def decode_point(space: CellSpace, data):
     """The point of ``space`` that ``encode_point`` wrote as ``data``, also
     reading a bare payload list; anything else is a ``ConstructionError``."""
-    # the points are group elements exactly when the origin is one
-    if isinstance(space.m0, GroupElement):
+    if space.point_group is not None:
         if isinstance(data, dict) and "g" in data:
             data = data["g"]
         if not isinstance(data, list):
             raise ConstructionError(f"{data!r} is not a point of {space.name}")
-        return element(space.m0.group, data)
+        return element(space.point_group, data)
     if isinstance(data, dict) and "t" in data:
         data = to_tuple(data["t"])
     # a space without group-element points is finite; return its own object

@@ -30,10 +30,16 @@ class GroupElement:
         self.payload = payload
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.mul(self, other)
+        group, theirs = self.group, other.group
+        if theirs is not group and theirs.signature != group.signature:
+            raise BackendMismatchError(
+                f"element of {theirs.backend}{theirs.signature} used in "
+                f"{group.backend}{group.signature}"
+            )
+        return GroupElement(group, group._mul(self.payload, other.payload))
 
     def inverse(self) -> "GroupElement":
-        return self.group.inverse(self)
+        return GroupElement(self.group, self.group._inv(self.payload))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
@@ -131,22 +137,6 @@ class Group:
 
     def identity(self) -> GroupElement:
         return GroupElement(self, self._identity())
-
-    def _check(self, g: GroupElement) -> None:
-        if g.group is not self and g.group.signature != self.signature:
-            raise BackendMismatchError(
-                f"element of {g.group.backend}{g.group.signature} used in "
-                f"{self.backend}{self.signature}"
-            )
-
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self._check(a)
-        self._check(b)
-        return GroupElement(self, self._mul(a.payload, b.payload))
-
-    def inverse(self, a: GroupElement) -> GroupElement:
-        self._check(a)
-        return GroupElement(self, self._inv(a.payload))
 
     def ball(self, r: int) -> list[GroupElement]:
         """Products of at most ``r`` symmetrized generators.
@@ -384,57 +374,50 @@ class SemidirectProduct(Group):
         self.G0 = g0_group
         self.H = h_group
         self.tau = dict(tau)
-        self._hgens = h_group.positive_generators()
         self.signature = ("semidirect", g0_group.signature, h_group.signature)
         self._validate()
 
-    def tau_apply(self, g0_payload: Payload, h: GroupElement) -> GroupElement:
-        """tau(g0) applied to an arbitrary H element."""
+    def tau_apply(self, g0_payload: Payload, h: Payload) -> Payload:
+        """tau(g0) applied to the H element with payload ``h``, as a payload."""
         H = self.H
+        acc = H._identity()
         if isinstance(H, FreeAbelianGroup):
-            acc = H._identity()
-            for i in range(H.d):
-                c = h.payload[i]
+            for i, c in enumerate(h):
                 if c:
                     img = self.tau[(g0_payload, i)]
                     acc = tuple(a + c * b for a, b in zip(acc, img))
-            return H.element(acc)
+            return acc
         if isinstance(H, FreeGroup):
-            acc = H.identity()
-            for x in h.payload:
-                img = H.element(self.tau[(g0_payload, abs(x) - 1)])
-                acc = acc * (img if x > 0 else img.inverse())
+            for x in h:
+                img = self.tau[(g0_payload, abs(x) - 1)]
+                acc = H._mul(acc, img if x > 0 else H._inv(img))
             return acc
         raise ConstructionError(f"tau extension not supported for H backend {H.backend}")
 
     def _validate(self) -> None:
         e0 = self.G0._identity()
-        for i, gen in enumerate(self._hgens):
+        hgens = [g.payload for g in self.H.positive_generators()]
+        for i, gen in enumerate(hgens):
             if (e0, i) not in self.tau:
                 raise ConstructionError(f"tau missing entry for identity, generator {i}")
-            if self.tau[(e0, i)] != gen.payload:
+            if self.tau[(e0, i)] != gen:
                 raise ConstructionError(
                     f"tau(e) must fix H-generator {i}, got {self.tau[(e0, i)]}"
                 )
-        els = self.G0.elements()
+        els = [g.payload for g in self.G0.elements()]
         for g in els:
-            for i in range(len(self._hgens)):
-                if (g.payload, i) not in self.tau:
-                    raise ConstructionError(
-                        f"tau table not total: missing ({g.payload}, {i})"
-                    )
+            for i in range(len(hgens)):
+                if (g, i) not in self.tau:
+                    raise ConstructionError(f"tau table not total: missing ({g}, {i})")
         # spot-check tau(g g') = tau(g) o tau(g') on generators
         sample = els if len(els) <= 12 else els[:6] + els[-6:]
         for g in sample:
             for gp in sample:
-                prod = self.G0._mul(g.payload, gp.payload)
-                for i, gen in enumerate(self._hgens):
-                    lhs = self.tau[(prod, i)]
-                    rhs = self.tau_apply(g.payload, self.H.element(self.tau[(gp.payload, i)]))
-                    if lhs != rhs.payload:
+                prod = self.G0._mul(g, gp)
+                for i in range(len(hgens)):
+                    if self.tau[(prod, i)] != self.tau_apply(g, self.tau[(gp, i)]):
                         raise ConstructionError(
-                            "tau is not a homomorphism: witness "
-                            f"g0={g.payload}, g0'={gp.payload}, generator {i}"
+                            f"tau is not a homomorphism: witness g0={g}, g0'={gp}, generator {i}"
                         )
 
     def pair(self, g0: GroupElement, h: GroupElement) -> GroupElement:
@@ -453,14 +436,12 @@ class SemidirectProduct(Group):
     def _mul(self, a: Payload, b: Payload) -> Payload:
         g0a, ha = a
         g0b, hb = b
-        twisted = self.tau_apply(g0a, self.H.element(hb))
-        return (self.G0._mul(g0a, g0b), self.H._mul(ha, twisted.payload))
+        return (self.G0._mul(g0a, g0b), self.H._mul(ha, self.tau_apply(g0a, hb)))
 
     def _inv(self, a: Payload) -> Payload:
         g0, h = a
         g0i = self.G0._inv(g0)
-        hi = self.tau_apply(g0i, self.H.element(self.H._inv(h)))
-        return (g0i, hi.payload)
+        return (g0i, self.tau_apply(g0i, self.H._inv(h)))
 
     def describe_element(self, payload: Payload) -> str:
         return f"({self.G0.describe_element(payload[0])}, {self.H.describe_element(payload[1])})"

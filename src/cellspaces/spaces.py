@@ -116,13 +116,23 @@ def box_points(group: FreeAbelianGroup, lo: int, hi: int) -> tuple:
     return tuple(group.element(v) for v in itertools.product(range(lo, hi), repeat=group.d))
 
 
-def box_window(group: FreeAbelianGroup, core_radius: int, halo_radius: int) -> Window:
-    """Sup-norm boxes of Z^d centred on the origin."""
-    return Window(
-        box_points(group, -core_radius, core_radius + 1),
-        box_points(group, -halo_radius, halo_radius + 1),
-        f"box r={core_radius}, halo r={halo_radius}",
-    )
+def group_window(P: Group, core_radius: int, halo_radius: int, sort: bool) -> Window:
+    """The window of a space whose points are the elements of the point
+    group P: sup-norm boxes centred on the origin when P is Z^d, otherwise
+    P's word-metric balls, in ``Group.ball`` order or, with ``sort``, sorted.
+
+    A halo smaller than the core is refused before any point is enumerated.
+    """
+    if halo_radius < core_radius:
+        raise ConstructionError("halo radius must be at least the core radius")
+    radii = (core_radius, halo_radius)
+    if isinstance(P, FreeAbelianGroup):
+        core, halo = (box_points(P, -r, r + 1) for r in radii)
+        shape = "box"
+    else:
+        core, halo = (tuple(sorted(P.ball(r)) if sort else P.ball(r)) for r in radii)
+        shape = "ball"
+    return Window(core, halo, f"{shape} r={core_radius}, halo r={halo_radius}")
 
 
 @dataclass(frozen=True)
@@ -189,6 +199,13 @@ class CellSpace:
     def coord(self, m) -> GroupElement:
         """g_{m0,m} with g_{m0,m} . m0 = m."""
         raise NotImplementedError
+
+    @property
+    def point_group(self) -> Optional[Group]:
+        """The group whose elements are the points (G when G acts on itself,
+        H for a semidirect space), or None when the points are not group
+        elements; they are exactly when the origin is one."""
+        return self.m0.group if isinstance(self.m0, GroupElement) else None
 
     @property
     def is_finite(self) -> bool:
@@ -478,14 +495,8 @@ class GroupAsSpace(CellSpace):
         return [a * coset.rep.inverse()]
 
     def ball_window(self, core_radius: int, halo_radius: int) -> Window:
-        """Word-metric balls; sup-norm boxes for free abelian groups."""
-        if halo_radius < core_radius:
-            raise ConstructionError("halo radius must be at least the core radius")
-        if isinstance(self.group, FreeAbelianGroup):
-            return box_window(self.group, core_radius, halo_radius)
-        halo = tuple(self.group.ball(halo_radius))
-        core = tuple(self.group.ball(core_radius))
-        return Window(core, halo, f"ball r={core_radius}, halo r={halo_radius}")
+        """Boxes of Z^d, or balls of G in ``Group.ball`` order."""
+        return group_window(self.point_group, core_radius, halo_radius, sort=False)
 
 
 class SemidirectCellSpace(CellSpace):
@@ -523,7 +534,7 @@ class SemidirectCellSpace(CellSpace):
     def left_action(self, g: GroupElement, m):
         g0, h = g.payload
         H = self.sd.H
-        return GroupElement(H, H._mul(h, self.sd.tau_apply(g0, m).payload))
+        return GroupElement(H, H._mul(h, self.sd.tau_apply(g0, m.payload)))
 
     def coord(self, m) -> GroupElement:
         return self.sd.pair(self.sd.G0.identity(), m)
@@ -537,12 +548,5 @@ class SemidirectCellSpace(CellSpace):
         return [GroupElement(H, H._mul(a.payload, H._inv(coset.rep.payload[1])))]
 
     def ball_window(self, core_radius: int, halo_radius: int) -> Window:
-        """Sup-norm boxes when H is a lattice, else balls of H sorted by key."""
-        H = self.sd.H
-        if isinstance(H, FreeAbelianGroup):
-            return box_window(H, core_radius, halo_radius)
-        return Window(
-            tuple(sorted(H.ball(core_radius), key=point_key)),
-            tuple(sorted(H.ball(halo_radius), key=point_key)),
-            f"ball r={core_radius}, halo r={halo_radius}",
-        )
+        """Boxes of Z^d, or balls of H sorted by key."""
+        return group_window(self.point_group, core_radius, halo_radius, sort=True)

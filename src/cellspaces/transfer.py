@@ -233,6 +233,14 @@ class _FiniteField:
                     prod[i - self.k + j] = (prod[i - self.k + j] - c * self.modulus[j]) % self.p
         return self._value(prod[: self.k])
 
+    def translation(self, b: int) -> tuple:
+        """The image tuple of x -> x + b."""
+        return tuple(self.add(i, b) for i in range(self.q))
+
+    def dilation(self, a: int) -> tuple:
+        """The image tuple of x -> a x."""
+        return tuple(self.mul(a, i) for i in range(self.q))
+
     def primitive_element(self) -> int:
         for a in range(2, self.q):
             x, order = a, 1
@@ -248,24 +256,16 @@ def affine_space(q: int) -> FiniteSpace:
     """M = F_q under the affine maps x -> ax + b; the stabiliser of 0 is the
     dilation group and the coordinates are the translations x -> x + m."""
     fld = _FiniteField(q)
-    n = q
-
-    def translation(b: int) -> tuple:
-        return tuple(fld.add(i, b) for i in range(n))
-
-    def dilation(a: int) -> tuple:
-        return tuple(fld.mul(a, i) for i in range(n))
-
-    gens = [translation(fld.p**i) for i in range(fld.k)]
+    gens = [fld.translation(fld.p**i) for i in range(fld.k)]
     if q > 2:
-        gens.append(dilation(fld.primitive_element()))
-    group = PermutationGroup(n, gens)
+        gens.append(fld.dilation(fld.primitive_element()))
+    group = PermutationGroup(q, gens)
     space = FiniteSpace(
         group,
-        points=list(range(n)),
+        points=list(range(q)),
         action=lambda g, m: g.payload[m],
         m0=0,
-        coords={m: group.element(translation(m)) for m in range(n)},
+        coords={m: group.element(fld.translation(m)) for m in range(q)},
         name=f"affine:{q}",
     )
     space.field = fld
@@ -273,26 +273,21 @@ def affine_space(q: int) -> FiniteSpace:
     return space
 
 
+def _affine_subgroup(space: FiniteSpace, images: set) -> SubgroupSample:
+    """The affine maps with the given image tuples, sorted."""
+    return SubgroupSample(
+        lambda g: g.payload in images, [space.group.element(p) for p in sorted(images)]
+    )
+
+
 def affine_translations(space: FiniteSpace) -> SubgroupSample:
     fld = space.field
-    q = fld.q
-    translations = {
-        tuple(fld.add(i, b) for i in range(q)) for b in range(q)
-    }
-    return SubgroupSample(
-        lambda g: g.payload in translations,
-        [space.group.element(p) for p in sorted(translations)],
-    )
+    return _affine_subgroup(space, {fld.translation(b) for b in range(fld.q)})
 
 
 def affine_dilations(space: FiniteSpace) -> SubgroupSample:
     fld = space.field
-    q = fld.q
-    dilations = {tuple(fld.mul(a, i) for i in range(q)) for a in range(1, q)}
-    return SubgroupSample(
-        lambda g: g.payload in dilations,
-        [space.group.element(p) for p in sorted(dilations)],
-    )
+    return _affine_subgroup(space, {fld.dilation(a) for a in range(1, fld.q)})
 
 
 # building hyperoct:d enumerates all d! 2^d signed permutations, a cost that
@@ -326,8 +321,7 @@ def space_by_name(name: str) -> CellSpace:
     if kind == "hyperoct":
         return hyperoct_space(value)
     if kind == "zd":
-        space = GroupAsSpace(FreeAbelianGroup(value), name=name)
-        return space
+        return GroupAsSpace(FreeAbelianGroup(value), name=name)
     if kind == "free":
         return GroupAsSpace(FreeGroup(value), name=name)
     raise ConstructionError(f"unknown space kind {kind!r} in {name!r}")

@@ -304,6 +304,21 @@ ZD2_RATIOS = {
     "E": [[1, 0]],
     "family": {"kind": "boxes", "sizes": [1, 2]},
 }
+AFFINE5 = {"space": {"name": "affine:5"}}
+BOXES = {"kind": "boxes", "sizes": [1, 2]}
+TRANSLATIONS = [[0, 0], [1, 0], [0, -1], [2, -1]]
+HYPEROCT2_BOXES = {
+    "space": {"name": "hyperoct:2"},
+    "window": {"core_radius": 5, "halo_radius": 6},
+    "E": [[[1, 2], t] for t in TRANSLATIONS],
+    "family": {"kind": "boxes", "sizes": [2, 4]},
+}
+FREE2_BALLS = {
+    "space": {"name": "free:2"},
+    "window": {"core_radius": 1, "halo_radius": 2},
+    "E": [[1]],
+    "family": {"kind": "balls", "radii": [1]},
+}
 
 
 @pytest.mark.parametrize(
@@ -326,6 +341,17 @@ ZD2_RATIOS = {
         ("ratios", {"space": {"name": "affine:5"}, "window": {"core_radius": 1, "halo_radius": 1}}),
         ("harem", {"graph": {"left": 1, "right": 2, "edges": [[0, 0]]}, "k": [2]}),
         ("verify-decomposition", {"space": {"name": "free:2"}, "decomposition": ["dec.json"]}),
+        ("axioms", {**FREE2_BALLS, "window": {"core_radius": 3, "halo_radius": 2}}),
+        ("ratios", {**HYPEROCT2_BOXES, "window": {"core_radius": 3, "halo_radius": 2}}),
+        ("ratios", {k: v for k, v in ZD2_RATIOS.items() if k != "family"}),
+        ("ratios", {**AFFINE5, "E": [[1, 2, 3, 4, 0]], "family": BOXES}),
+        ("ratios", {**FREE2_BALLS, "family": BOXES}),
+        ("measures", {**AFFINE5, "measure": {"kind": "weights", "weights": [[0]]}}),
+        ("measures", {**AFFINE5, "measure": {"kind": "gaussian"}}),
+        (
+            "verify-decomposition",
+            {"space": {"name": "free:2"}, "decomposition": "no-such-dir/dec.json"},
+        ),
     ],
     ids=[
         "config-list",
@@ -345,10 +371,34 @@ ZD2_RATIOS = {
         "window-on-finite-space",
         "k-list",
         "decomposition-path-list",
+        "halo-below-core-free2",
+        "halo-below-core-hyperoct2",
+        "no-family",
+        "boxes-affine5",
+        "boxes-free2",
+        "weights-not-a-pair",
+        "unknown-measure-kind",
+        "decomposition-file-unreadable",
     ],
 )
 def test_malformed_config_block_exits_1(tmp_path, capsys, command, cfg):
     _expect_config_error(tmp_path, capsys, command, cfg)
+
+
+def _ratio_columns(tmp_path, cfg):
+    out = tmp_path / "r.json"
+    assert run(["ratios", "--config", write(tmp_path, "r.cfg", cfg), "--out", str(out)]) == 0
+    fields = ("set_id", "size", "ratio_out", "ratio_in", "certified")
+    return [[r[f] for f in fields] for r in json.loads(out.read_text())["result"]["records"]]
+
+
+def test_hyperoct2_box_ratios_equal_the_lattice_ones(tmp_path):
+    """On hyperoct:2 the translation coset ((1,2), t) moves m to m + t, as t
+    does on zd:2, so box families give the same ratios."""
+    lattice = {**HYPEROCT2_BOXES, "space": {"name": "zd:2"}, "E": TRANSLATIONS}
+    rows = _ratio_columns(tmp_path, HYPEROCT2_BOXES)
+    assert len(rows) == 2 * len(TRANSLATIONS)
+    assert rows == _ratio_columns(tmp_path, lattice)
 
 
 @pytest.mark.parametrize(

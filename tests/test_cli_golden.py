@@ -52,6 +52,11 @@ CASES = {
     "ratios-zd2-csv": ("ratios", ZD2, ["--format", "csv"]),
     "ratios-hyperoct2-json": ("ratios", HYPEROCT2, []),
     "ratios-hyperoct2-csv": ("ratios", HYPEROCT2, ["--format", "csv"]),
+    "ratios-hyperoct2-boxes-csv": (
+        "ratios",
+        {**HYPEROCT2, "family": {"kind": "boxes", "sizes": [2, 4]}},
+        ["--format", "csv"],
+    ),
     "ratios-affine5-csv": (
         "ratios",
         {**AFFINE5, "E": [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]], "family": {"kind": "full"}},
@@ -191,6 +196,9 @@ GOLDEN = {
     }),
     'ratios-affine5-csv': (0, {
         'out': 'f0a8d841a9266f6e4a6b626fcb38e3754c6b76964d3951bcfd5ad452fc4373b5',
+    }),
+    'ratios-hyperoct2-boxes-csv': (0, {
+        'out': '3037dd78ac3521e6179c5d67c8035a8be08ecd85597b904cf757d2d1668af559',
     }),
     'ratios-hyperoct2-csv': (0, {
         'out': 'a844ac77fd33b3af13b06d3fdc8a6781ebc350ec305bd99fbe34c92755f007e1',

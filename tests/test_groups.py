@@ -167,5 +167,5 @@ def test_hyperoctahedral_tau_is_total_and_valid():
     assert len(tau) == 8 * 2
     # the twist of a translation matches the vector action
     for g in g0.elements():
-        got = sd.tau_apply(g.payload, h.element((2, -3)))
-        assert got.payload == g0.apply_to_vector(g, (2, -3))
+        got = sd.tau_apply(g.payload, (2, -3))
+        assert got == g0.apply_to_vector(g, (2, -3))

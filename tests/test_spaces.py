@@ -6,13 +6,16 @@ import pytest
 from cellspaces import (
     CellSpace,
     ConstructionError,
+    FAMeasure,
     FiniteSpace,
     FreeGroup,
+    GroupAsSpace,
     IntegrityError,
     PermutationGroup,
     ScopeMismatchError,
     Window,
     affine_space,
+    check_semi_invariance,
     space_by_name,
     verify_axioms,
 )
@@ -65,6 +68,15 @@ def test_preimage_certification_depends_on_halo():
     res = sp.preimage(a, target, tight)
     assert not res.certified
     assert res.points == ()
+
+
+def test_window_refuses_a_halo_below_the_core_before_enumerating():
+    class NoBalls(FreeGroup):
+        def ball(self, r):
+            raise AssertionError("a ball was built")
+
+    with pytest.raises(ConstructionError, match="halo radius"):
+        GroupAsSpace(NoBalls(2)).ball_window(10**6, 2)
 
 
 def test_preimage_size_respects_stabilizer_bound():
@@ -149,6 +161,18 @@ def test_finite_space_requires_valid_coordinates():
             m0=0,
             coords={0: g.identity(), 1: g.identity(), 2: g.identity()},
         )
+
+
+def test_group_as_space_over_a_finite_group():
+    s3 = PermutationGroup(3, [(1, 0, 2), (1, 2, 0)])
+    sp = GroupAsSpace(s3)
+    assert sp.is_finite
+    assert sp.points() == s3.elements()
+    assert len(sp.points()) == 6
+    window = sp.full_window()
+    rep = verify_axioms(sp, window, [sp.coset(g) for g in s3.elements()])
+    assert rep.passed, rep.failures()
+    assert check_semi_invariance(sp, FAMeasure.uniform(window)).passed
 
 
 def test_semidirect_space_matches_sign_flip_example():
