@@ -7,7 +7,8 @@ enumerations are sorted, and rationals are serialized exactly as "p/q".
 
 Exit codes: 0 = pass/complete, 1 = usage or config error, and 2 exactly when a
 property violation's witness is written: to ``<out>.witness.json``, or to
-stdout after the report when there is no ``--out``.
+stdout after the report when there is no ``--out``. A window, family set or
+graph side above ``MAX_ENUMERATED_POINTS`` is a config error.
 
 Config schema (JSON, one object)::
 
@@ -39,6 +40,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Sequence
 
 from . import codec
@@ -56,7 +58,17 @@ from .paradox import (
     two_to_one_from_matching,
     verify_decomposition,
 )
-from .spaces import CellSpace, CheckReport, Window, box_points, verify_axioms
+from .spaces import (
+    SIZE_BOUND,
+    CellSpace,
+    CheckReport,
+    Window,
+    ball_size,
+    box_points,
+    box_size,
+    verify_axioms,
+    window_size,
+)
 from .transfer import (
     affine_dilations,
     affine_translations,
@@ -102,6 +114,23 @@ def _natural(value, what: str) -> int:
     return value
 
 
+# the most points a config may ask one window, family set or graph side to
+# enumerate: the free:2 ball of radius 12, the halo of a core radius 10 run.
+# Like HYPEROCT_MAX_RANK, a limit, not an option.
+MAX_ENUMERATED_POINTS = 1_062_881
+
+
+def _enumerable(size: Optional[int], what: str, unit: str = "points") -> None:
+    """Refuse ``what`` when its closed-form size exceeds the limit. A None
+    size, of a point group without a closed form, is not checked; the
+    named spaces that give one are finite."""
+    if size is not None and size > MAX_ENUMERATED_POINTS:
+        count = size if size <= SIZE_BOUND else f"more than {SIZE_BOUND}"
+        raise ConfigError(
+            f"{what} has {count} {unit}, above MAX_ENUMERATED_POINTS = {MAX_ENUMERATED_POINTS}"
+        )
+
+
 def _window(space: CellSpace, cfg: dict) -> Window:
     wcfg = _block(cfg, "window")
     if wcfg is None:
@@ -112,6 +141,8 @@ def _window(space: CellSpace, cfg: dict) -> Window:
         raise ConfigError(f"{space.name} takes no window block: its window is the whole space")
     core_r = _natural(wcfg.get("core_radius"), "core_radius")
     halo_r = _natural(wcfg.get("halo_radius"), "halo_radius")
+    radius = max(core_r, halo_r)
+    _enumerable(window_size(space.point_group, radius), f"the window of radius {radius}")
     return space.ball_window(core_r, halo_r)
 
 
@@ -134,9 +165,13 @@ def _family(space: CellSpace, cfg: dict) -> list:
         if not isinstance(lattice, FreeAbelianGroup):
             raise ConfigError("boxes family needs a lattice point group (zd:d or hyperoct:d)")
         sizes = [_natural(n, "a box size") for n in _list(fcfg.get("sizes"), "sizes")]
+        for n in sizes:
+            _enumerable(box_size(lattice, 0, n), f"the box of size {n}")
         return [(f"box:{n}", box_points(lattice, 0, n)) for n in sizes]
     if kind == "balls":
         radii = [_natural(r, "a ball radius") for r in _list(fcfg.get("radii"), "radii")]
+        for r in radii:
+            _enumerable(ball_size(space.point_group, r), f"the ball of radius {r}")
         return list(zip([f"ball:{r}" for r in radii], space.orbit_balls(radii)))
     raise ConfigError(f"unknown family kind {kind!r}")
 
@@ -196,8 +231,48 @@ def _violation(outcome, names_left: Sequence, names_right: Sequence) -> dict:
     }
 
 
-def _json(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2, default=str) + "\n"
+# with ``indent``, json.dumps runs the pure-Python encoder; ``_json`` writes
+# the same bytes with one join per list or dict and hands every other leaf
+# (bool, None, float, ``default=str`` objects, a dict with a non-str key) to
+# this encoder
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=str)
+_encode_str = json.encoder.encode_basestring_ascii
+_int_str = int.__repr__
+_all_ints = frozenset([int]).issuperset
+_all_strs = frozenset([str]).issuperset
+
+
+def _dump(value, nl: str) -> str:
+    """``value`` as json.dumps writes it with ``_ENCODER``'s settings, nested
+    at the indentation that ``nl``, a newline and that indentation, gives."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return _int_str(value)
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if _all_strs(map(type, value)):
+            items = [_encode_str(k) + ": " + _dump(value[k], inner) for k in sorted(value)]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _all_ints(map(type, value)):
+            items = map(_int_str, value)
+        else:
+            items = map(_dump, value, repeat(inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    # JSON strings escape every newline, so re-indenting at "\n" is safe
+    return _ENCODER.encode(value).replace("\n", nl)
+
+
+def _json(document) -> str:
+    """The bytes of ``json.dumps(document, sort_keys=True, indent=2,
+    default=str) + "\\n"``: the one writer of every report and witness."""
+    return _dump(document, "\n") + "\n"
 
 
 def _csv(header: dict, rows: list) -> str:
@@ -309,6 +384,7 @@ def _graph_block(g: dict) -> tuple[int, int, list]:
     """(left size, right size, sorted adjacency) of an explicit graph block."""
     nx = _natural(g.get("left"), "graph size left")
     ny = _natural(g.get("right"), "graph size right")
+    _enumerable(max(nx, ny), "a graph side", "vertices")
     adj: list[set] = [set() for _ in range(nx)]
     for edge in _list(g.get("edges"), "graph edges"):
         if not (

@@ -144,9 +144,15 @@ class Group:
         Breadth-first with lexicographic tie-breaking, so the enumeration
         order is reproducible.
         """
-        gens = self._symmetric_payloads()
-        layers = bfs_layers(self._identity(), lambda p: map(self._mul, repeat(p), gens), r)
+        layers = bfs_layers(self._identity(), self._ball_step(), r)
         return [GroupElement(self, p) for layer in layers for p in sorted(layer)]
+
+    def _ball_step(self) -> Callable[[Payload], Iterable[Payload]]:
+        """The neighbours of a payload in the walk of ``ball``: its products
+        with each symmetrized generator. A backend may give any step that
+        reaches the same new payloads from each layer."""
+        gens = self._symmetric_payloads()
+        return lambda p: map(self._mul, repeat(p), gens)
 
     @property
     def is_finite(self) -> bool:
@@ -343,6 +349,14 @@ class FreeGroup(Group):
 
     def _inv(self, a: Payload) -> Payload:
         return tuple(-x for x in reversed(a))
+
+    def _ball_step(self) -> Callable[[Payload], Iterable[Payload]]:
+        # the new words one step out are the one-letter extensions that do
+        # not cancel the last letter; a product that cancels is already seen
+        letters = self._generator_payloads()
+        grow = {x: [t for t in letters if t != (-x,)] for (x,) in letters}
+        grow[None] = letters
+        return lambda p: map(p.__add__, grow[p[-1] if p else None])
 
     def _hash_payload(self, a: Payload) -> int:
         # CPython hashes -1 like -2; moving each negative letter x to x - 1

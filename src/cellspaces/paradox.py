@@ -47,8 +47,8 @@ class BipartiteGraph:
 def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteGraph:
     """Refuses to build if any image escapes the halo, because an incomplete
     right side would silently fake Hall conditions."""
-    halo = window.halo_set
-    core = window.core_set
+    halo = set(map(point_key, window.halo))
+    core = set(map(point_key, window.core))
     left = tuple(window.core)
     images: dict = {}
     edge_targets: list[dict] = []
@@ -56,16 +56,18 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
         targets: dict = {}
         for e in E:
             img = space.semi_action(m, e)
-            if img not in halo:
+            k = point_key(img)
+            if k not in halo:
                 raise UncertifiedWindowError(
                     f"image {img!r} of {m!r} under {e!r} escapes the window halo"
                 )
-            targets.setdefault(point_key(img), img)
+            targets.setdefault(k, img)
         edge_targets.append(targets)
         for k, img in targets.items():
             images.setdefault(k, img)
-    right = tuple(images[k] for k in sorted(images))
-    right_index = {point_key(y): i for i, y in enumerate(right)}
+    right_keys = sorted(images)
+    right = tuple(images[k] for k in right_keys)
+    right_index = {k: i for i, k in enumerate(right_keys)}
     adj = [tuple(sorted(right_index[k] for k in targets)) for targets in edge_targets]
     return BipartiteGraph(
         left=left,
@@ -75,9 +77,10 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
     )
 
 
-def _fibers_in_core(space: CellSpace, E: ExpansionSet, m, core: frozenset) -> bool:
-    """Whether the exact fiber of m under every coset of E lies in the core."""
-    return all(p in core for e in E for p in space.exact_preimage_point(e, m))
+def _fibers_in_core(space: CellSpace, E: ExpansionSet, m, core: set) -> bool:
+    """Whether the exact fiber of m under every coset of E lies in the core,
+    given as the set of its points' ``point_key``s."""
+    return all(point_key(p) in core for e in E for p in space.exact_preimage_point(e, m))
 
 
 def harem_matching(graph: BipartiteGraph, k: int = 2) -> Union[HaremMatching, HaremViolation]:
@@ -176,7 +179,7 @@ class DecompositionReport(CheckReport):
 
 def certified_interior(space: CellSpace, E: ExpansionSet, scope: Window) -> list:
     """Core points whose exact fiber under every coset of E lies in the core."""
-    core = scope.core_set
+    core = set(map(point_key, scope.core))
     return [m for m in scope.core if _fibers_in_core(space, E, m, core)]
 
 

@@ -15,7 +15,14 @@ from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConstructionError, IntegrityError, ScopeMismatchError
-from .groups import FreeAbelianGroup, Group, GroupElement, SemidirectProduct, bfs_layers
+from .groups import (
+    FreeAbelianGroup,
+    FreeGroup,
+    Group,
+    GroupElement,
+    SemidirectProduct,
+    bfs_layers,
+)
 
 
 def point_key(m):
@@ -95,11 +102,11 @@ class Window:
     note: str = ""
 
     def __post_init__(self):
-        core_set = set(self.core)
-        halo_set = set(self.halo)
-        if len(core_set) != len(self.core) or len(halo_set) != len(self.halo):
+        core_keys = set(map(point_key, self.core))
+        halo_keys = set(map(point_key, self.halo))
+        if len(core_keys) != len(self.core) or len(halo_keys) != len(self.halo):
             raise ConstructionError("window contains duplicate points")
-        if not core_set <= halo_set:
+        if not core_keys <= halo_keys:
             raise ConstructionError("window core must be contained in its halo")
 
     @property
@@ -114,6 +121,58 @@ class Window:
 def box_points(group: FreeAbelianGroup, lo: int, hi: int) -> tuple:
     """The elements of Z^d whose every coordinate lies in ``range(lo, hi)``."""
     return tuple(group.element(v) for v in itertools.product(range(lo, hi), repeat=group.d))
+
+
+# the closed-form sizes below are exact up to SIZE_BOUND and read SIZE_BOUND + 1
+# above it, so a radius of any size is counted in a few dozen steps
+SIZE_BOUND = 10**18
+
+
+def _power(base: int, exp: int) -> int:
+    """``base ** exp``, read as SIZE_BOUND + 1 above SIZE_BOUND."""
+    if base <= 1:
+        return base if exp else 1
+    out = 1
+    for _ in range(exp):
+        out *= base
+        if out > SIZE_BOUND:
+            return SIZE_BOUND + 1
+    return out
+
+
+def box_size(group: FreeAbelianGroup, lo: int, hi: int) -> int:
+    """The number of points of ``box_points(group, lo, hi)``."""
+    return _power(max(hi - lo, 0), group.d)
+
+
+def ball_size(P: Group, r: int) -> Optional[int]:
+    """The number of elements of P's ball of radius r when P is F_k or Z^d,
+    where it is the L1 ball; None for any other group."""
+    if isinstance(P, FreeGroup):
+        k = P.k
+        if k == 1:
+            return min(2 * r + 1, SIZE_BOUND + 1)
+        grown = _power(2 * k - 1, r)
+        return min(1 + 2 * k * (grown - 1) // (2 * k - 2), SIZE_BOUND + 1)
+    if isinstance(P, FreeAbelianGroup):
+        # the term of i counts the points with i non-zero coordinates,
+        # 2^i C(d, i) C(r, i)
+        size = term = 1
+        for i in range(min(P.d, r)):
+            term = term * 2 * (P.d - i) * (r - i) // (i + 1) ** 2
+            size += term
+            if size > SIZE_BOUND:
+                return SIZE_BOUND + 1
+        return size
+    return None
+
+
+def window_size(P: Group, r: int) -> Optional[int]:
+    """The number of points ``group_window`` enumerates for radius r, or None
+    when P is neither Z^d nor F_k."""
+    if isinstance(P, FreeAbelianGroup):
+        return box_size(P, -r, r + 1)
+    return ball_size(P, r)
 
 
 def group_window(P: Group, core_radius: int, halo_radius: int, sort: bool) -> Window:

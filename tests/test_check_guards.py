@@ -268,17 +268,21 @@ def _reference_ball(group, r):
 @pytest.mark.parametrize(
     "make",
     [
+        lambda: FreeGroup(1),
         lambda: FreeGroup(2),
+        lambda: FreeGroup(3),
         lambda: FreeAbelianGroup(3),
         lambda: SignedPermutationGroup(3),
         lambda: affine_space(5).group,
         lambda: hyperoct_space(2).group,
     ],
-    ids=["free:2", "zd:3", "signedperm:3", "affine:5", "hyperoct:2"],
+    ids=["free:1", "free:2", "free:3", "zd:3", "signedperm:3", "affine:5", "hyperoct:2"],
 )
 def test_ball_order_matches_the_reference(make):
+    # free groups walk outward by one-letter extensions, checked here against
+    # the products with every generator
     group = make()
-    for r in range(4):
+    for r in range(7 if isinstance(group, FreeGroup) else 4):
         assert [g.payload for g in group.ball(r)] == _reference_ball(group, r)
     with pytest.raises(ValueError):
         group.ball(-1)

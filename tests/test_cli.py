@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,9 @@ from cellspaces import (
     verify_decomposition,
 )
 from cellspaces.cli import COMMANDS as cli_commands
-from cellspaces.cli import main
+from cellspaces.cli import MAX_ENUMERATED_POINTS, main
+from cellspaces.cli import _json as report_text
+from cellspaces.spaces import ball_size
 
 
 def write(tmp_path, name, obj):
@@ -440,6 +443,52 @@ def test_deeply_nested_payload_exits_1(tmp_path, depth):
     nested = "[" * depth + "]" * depth
     path.write_text(json.dumps({**ZD2_RATIOS, "E": "@"}).replace('"@"', f"[{nested}]"))
     assert run(["ratios", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("axioms", {**FREE2_BALLS, "window": {"core_radius": 25, "halo_radius": 25}}),
+        ("axioms", {**FREE2_BALLS, "window": {"core_radius": 10**40, "halo_radius": 1}}),
+        ("ratios", {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": [2, 10**6]}}),
+        ("ratios", {**HYPEROCT2_BOXES, "family": {"kind": "balls", "radii": [10**30]}}),
+        ("harem", {"graph": {"left": 10**12, "right": 2, "edges": []}}),
+    ],
+    ids=["free2-core-25", "free2-core-huge", "zd2-box", "hyperoct2-ball", "graph-side"],
+)
+def test_oversized_enumeration_exits_1_at_once(tmp_path, capsys, command, cfg):
+    """A window, family set or graph side above the limit is refused from
+    its closed-form size, before anything is enumerated."""
+    path = write(tmp_path, "c.json", cfg)
+    start = time.perf_counter()
+    assert run([command, "--config", path]) == 1
+    assert time.perf_counter() - start < 1
+    assert "MAX_ENUMERATED_POINTS" in capsys.readouterr().err
+
+
+def test_enumeration_limit_admits_the_free2_radius_12_halo():
+    # the halo of a free:2 run at core radius 10 is the largest window allowed
+    assert ball_size(space_by_name("free:2").group, 12) == MAX_ENUMERATED_POINTS
+
+
+# quotes, backslashes, control characters and non-ASCII text
+_text = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2603'), max_size=6)
+_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.fractions() | _text
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_text, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_report_writer_matches_json_dumps(doc):
+    """The report writer gives the bytes of json.dumps with the CLI's settings."""
+    assert report_text(doc) == json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cellspaces.paradox as paradox
 from cellspaces import (
     CellSpacesError,
     ConstructionError,
@@ -152,27 +153,43 @@ def test_no_decomposition_on_tiny_finite_spaces():
         assert search_decompositions(affine_space(q), max_expansion=2) is None
 
 
-def test_verify_hashes_grow_linearly(monkeypatch):
-    """Element hashes inside ``verify_decomposition`` grow at most like
-    n^1.2 in the core size n, from core radius 4 to 6."""
+def _assert_linear_growth(monkeypatch, stage):
+    """Element hashes plus ``paradox.point_key`` calls made by
+    ``stage(space, E, window, D)`` on the free:2 pipeline grow at most like
+    n^1.2 in the core size n, from core radius 4 to 6, so a set rebuilt
+    inside a loop fails here."""
     sizes, counts = [], []
     for r in (4, 5, 6):
-        sp, _, w, _, _, D = run_pipeline(r, r + 1)
+        sp, E, w, _, _, D = run_pipeline(r, r + 1)
         calls = [0]
-        original = GroupElement.__hash__
 
-        def counted(self, original=original, calls=calls):
-            calls[0] += 1
-            return original(self)
+        def counted(fn, calls=calls):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(GroupElement, "__hash__", counted)
-        assert verify_decomposition(sp, D).passed
+            return wrapper
+
+        monkeypatch.setattr(GroupElement, "__hash__", counted(GroupElement.__hash__))
+        monkeypatch.setattr(paradox, "point_key", counted(paradox.point_key))
+        stage(sp, E, w, D)
         monkeypatch.undo()
         sizes.append(len(w.core))
         counts.append(calls[0])
     for i in range(len(sizes) - 1):
         growth = math.log(counts[i + 1] / counts[i]) / math.log(sizes[i + 1] / sizes[i])
         assert growth <= 1.2, (sizes, counts)
+
+
+def test_verify_hashes_grow_linearly(monkeypatch):
+    def verify(sp, E, w, D):
+        assert verify_decomposition(sp, D).passed
+
+    _assert_linear_growth(monkeypatch, verify)
+
+
+def test_build_graph_hashes_grow_linearly(monkeypatch):
+    _assert_linear_growth(monkeypatch, lambda sp, E, w, D: build_graph(sp, E, w))
 
 
 # ---------------------------------------------------------------------------

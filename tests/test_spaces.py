@@ -8,6 +8,7 @@ from cellspaces import (
     ConstructionError,
     FAMeasure,
     FiniteSpace,
+    FreeAbelianGroup,
     FreeGroup,
     GroupAsSpace,
     IntegrityError,
@@ -19,7 +20,7 @@ from cellspaces import (
     space_by_name,
     verify_axioms,
 )
-from cellspaces.spaces import point_key
+from cellspaces.spaces import ball_size, box_points, box_size, point_key, window_size
 
 
 def test_coset_equality_ignores_representative():
@@ -239,3 +240,16 @@ def test_semidirect_semi_action_matches_the_general_formula_over_a_free_h():
     words = sd.H.ball(2)
     assert any(m * t != t * m for m in words for t in words)
     _check_semi_action_override(sp, words, [sd.pair(g, t) for g in sd.G0.elements() for t in words])
+
+
+@pytest.mark.parametrize(
+    "name", ["free:1", "free:2", "free:3", "zd:1", "zd:2", "zd:3", "hyperoct:2"]
+)
+def test_closed_form_sizes_count_the_enumerations(name):
+    sp = space_by_name(name)
+    P = sp.point_group
+    for r in range(6):
+        assert ball_size(P, r) == len(P.ball(r)) == len(sp.orbit_balls([r])[0])
+        assert window_size(P, r) == len(sp.ball_window(r, r).core)
+        if isinstance(P, FreeAbelianGroup):
+            assert box_size(P, 0, r) == len(box_points(P, 0, r))
