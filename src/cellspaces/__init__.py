@@ -56,7 +56,6 @@ from .paradox import (
     decomposition_from_map,
     decomposition_to_json,
     harem_matching,
-    search_decompositions,
     tarski_contradiction,
     two_to_one_from_matching,
     verify_decomposition,

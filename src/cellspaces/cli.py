@@ -263,10 +263,30 @@ def _dump(value, nl: str) -> str:
         if _all_ints(map(type, value)):
             items = map(_int_str, value)
         else:
-            items = map(_dump, value, repeat(inner))
+            items = _int_list_dicts(value, inner) or map(_dump, value, repeat(inner))
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     # JSON strings escape every newline, so re-indenting at "\n" is safe
     return _ENCODER.encode(value).replace("\n", nl)
+
+
+def _int_list_dicts(values, nl: str) -> Optional[list]:
+    """Each of ``values`` as ``_dump`` writes it at ``nl``, when every one is
+    a dict of one str key whose value is a list of ints, as the encoded
+    points ``{"g": [1, -2]}`` and ``{"g": []}`` are; otherwise None."""
+    if not all(type(v) is dict and len(v) == 1 for v in values):
+        return None
+    pairs = [item for v in values for item in v.items()]
+    if not all(type(k) is str and type(w) is list and _all_ints(map(type, w)) for k, w in pairs):
+        return None
+    nl2 = nl + "  "
+    nl4 = nl2 + "  "
+    sep = "," + nl4
+    return [
+        "{" + nl2 + _encode_str(k)
+        + (": [" + nl4 + sep.join(map(_int_str, w)) + nl2 + "]" if w else ": []")
+        + nl + "}"
+        for k, w in pairs
+    ]
 
 
 def _json(document) -> str:

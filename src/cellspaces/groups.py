@@ -144,15 +144,14 @@ class Group:
         Breadth-first with lexicographic tie-breaking, so the enumeration
         order is reproducible.
         """
-        layers = bfs_layers(self._identity(), self._ball_step(), r)
-        return [GroupElement(self, p) for layer in layers for p in sorted(layer)]
+        return [GroupElement(self, p) for layer in self._ball_layers(r) for p in sorted(layer)]
 
-    def _ball_step(self) -> Callable[[Payload], Iterable[Payload]]:
-        """The neighbours of a payload in the walk of ``ball``: its products
-        with each symmetrized generator. A backend may give any step that
-        reaches the same new payloads from each layer."""
+    def _ball_layers(self, r: int) -> list[list[Payload]]:
+        """The payloads at each distance 0..r from the identity, each layer
+        in any order: the walk of ``ball``, by products with every
+        symmetrized generator. A negative radius is a ``ValueError``."""
         gens = self._symmetric_payloads()
-        return lambda p: map(self._mul, repeat(p), gens)
+        return bfs_layers(self._identity(), lambda p: map(self._mul, repeat(p), gens), r)
 
     @property
     def is_finite(self) -> bool:
@@ -350,13 +349,20 @@ class FreeGroup(Group):
     def _inv(self, a: Payload) -> Payload:
         return tuple(-x for x in reversed(a))
 
-    def _ball_step(self) -> Callable[[Payload], Iterable[Payload]]:
-        # the new words one step out are the one-letter extensions that do
-        # not cancel the last letter; a product that cancels is already seen
-        letters = self._generator_payloads()
+    def _ball_layers(self, r: int) -> list[list[Payload]]:
+        # the words one step out are the one-letter extensions that do not
+        # cancel the last letter; each is reached once, so unlike
+        # bfs_layers the walk keeps no set of the words it has seen. With
+        # the letters sorted, each layer comes out sorted, which ball's
+        # sort then only confirms
+        if r < 0:
+            raise ValueError("radius must be non-negative")
+        letters = sorted(self._generator_payloads())
         grow = {x: [t for t in letters if t != (-x,)] for (x,) in letters}
-        grow[None] = letters
-        return lambda p: map(p.__add__, grow[p[-1] if p else None])
+        layers = [[()], letters][: r + 1]
+        for _ in range(r - 1):
+            layers.append([p + t for p in layers[-1] for t in grow[p[-1]]])
+        return layers
 
     def _hash_payload(self, a: Payload) -> int:
         # CPython hashes -1 like -2; moving each negative letter x to x - 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from . import codec
 from .errors import (
@@ -26,61 +26,78 @@ from .errors import (
 from .groups import FreeGroup
 from .matching import HaremMatching, HaremViolation, solve_harem
 from .measures import FAMeasure
-from .spaces import CellSpace, CheckReport, ExpansionSet, Window, point_key
+from .spaces import (
+    CellSpace,
+    CheckReport,
+    ExpansionSet,
+    Window,
+    certifying_halo_radius,
+    point_key,
+)
 
 
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Left: window core; right: its image under the expansion set.
 
-    ``adj[i]`` lists right indices reachable from ``left[i]``.
-    ``right_interior`` flags right vertices whose exact left fiber is fully
-    inside the core.
+    ``adj[i]`` lists right indices reachable from ``left[i]``, and
+    ``cosets[i][j]`` is the first coset of E, in E order, that sends
+    ``left[i]`` to ``right[adj[i][j]]``. ``right_interior`` flags right
+    vertices whose exact left fiber is fully inside the core.
     """
 
     left: tuple
     right: tuple
     adj: tuple
     right_interior: tuple
+    cosets: tuple
 
 
 def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteGraph:
     """Refuses to build if any image escapes the halo, because an incomplete
-    right side would silently fake Hall conditions."""
-    halo = set(map(point_key, window.halo))
-    core = set(map(point_key, window.core))
-    left = tuple(window.core)
-    images: dict = {}
-    edge_targets: list[dict] = []
-    for m in left:
-        targets: dict = {}
-        for e in E:
-            img = space.semi_action(m, e)
-            k = point_key(img)
-            if k not in halo:
-                raise UncertifiedWindowError(
-                    f"image {img!r} of {m!r} under {e!r} escapes the window halo"
-                )
-            targets.setdefault(k, img)
-        edge_targets.append(targets)
-        for k, img in targets.items():
-            images.setdefault(k, img)
-    right_keys = sorted(images)
-    right = tuple(images[k] for k in right_keys)
-    right_index = {k: i for i, k in enumerate(right_keys)}
-    adj = [tuple(sorted(right_index[k] for k in targets)) for targets in edge_targets]
+    right side would silently fake Hall conditions.
+
+    The halo is numbered once, and the graph is read from one table:
+    ``T[c][i]`` is the number of ``left[i] |> E[c]``, from the space's
+    ``key_maps``."""
+    halo_keys = list(map(point_key, window.halo))
+    number = {k: j for j, k in enumerate(halo_keys)}
+    core_keys = list(map(point_key, window.core))
+    cosets = list(E)
+    maps = [space.key_maps(e) for e in cosets]
+    T = [[number.get(image(k), -1) for k in core_keys] for image, _ in maps]
+    if any(-1 in row for row in T):
+        i, c = min((row.index(-1), c) for c, row in enumerate(T) if -1 in row)
+        m, e = window.core[i], cosets[c]
+        R = certifying_halo_radius(space, E, window)
+        raise UncertifiedWindowError(
+            f"image {space.semi_action(m, e)!r} of {m!r} under {e!r} escapes the window halo"
+            + (f"; a halo of radius {R} certifies the window" if R is not None else "")
+        )
+    # in_core[-1] stays False: number.get gives -1 for a key outside the halo
+    in_core = [False] * (len(halo_keys) + 1)
+    for k in core_keys:
+        in_core[number[k]] = True
+    right = sorted(set().union(*T), key=halo_keys.__getitem__)
+    position = dict(zip(right, range(len(right))))
+    adj, labels = [], []
+    for row in zip(*T) if T else [()] * len(core_keys):
+        first: dict = {}
+        for c, j in enumerate(row):
+            first.setdefault(position[j], c)
+        ys = sorted(first)
+        adj.append(tuple(ys))
+        labels.append(tuple(cosets[first[y]] for y in ys))
     return BipartiteGraph(
-        left=left,
-        right=right,
+        left=tuple(window.core),
+        right=tuple(window.halo[j] for j in right),
         adj=tuple(adj),
-        right_interior=tuple(_fibers_in_core(space, E, y, core) for y in right),
+        right_interior=tuple(
+            all(in_core[number.get(p, -1)] for _, fiber in maps for p in fiber(halo_keys[j]))
+            for j in right
+        ),
+        cosets=tuple(labels),
     )
-
-
-def _fibers_in_core(space: CellSpace, E: ExpansionSet, m, core: set) -> bool:
-    """Whether the exact fiber of m under every coset of E lies in the core,
-    given as the set of its points' ``point_key``s."""
-    return all(point_key(p) in core for e in E for p in space.exact_preimage_point(e, m))
 
 
 def harem_matching(graph: BipartiteGraph, k: int = 2) -> Union[HaremMatching, HaremViolation]:
@@ -97,11 +114,13 @@ class TwoToOneMap:
     """phi sends each matched right point to its left partner; the fibers are
     split by enumeration order into the branches psi (lower) and psi' (upper),
     so psi and psi' are injective with disjoint images covering the matched
-    right side."""
+    right side. ``cosets[m]`` is the pair of the graph's edge labels (e, e')
+    with ``psi(m) = m |> e`` and ``psi'(m) = m |> e'``."""
 
     psi: dict
     psi_prime: dict
     phi: dict
+    cosets: dict
 
 
 def two_to_one_from_matching(
@@ -116,15 +135,19 @@ def two_to_one_from_matching(
         phi[graph.right[y]] = graph.left[x]
     psi: dict = {}
     psi_prime: dict = {}
+    cosets: dict = {}
     for x, ys in fibers.items():
         if len(ys) != 2:
             raise ConstructionError(
                 f"left vertex {graph.left[x]!r} matched {len(ys)} times, expected 2"
             )
         lo, hi = sorted(ys)
-        psi[graph.left[x]] = graph.right[lo]
-        psi_prime[graph.left[x]] = graph.right[hi]
-    return TwoToOneMap(psi=psi, psi_prime=psi_prime, phi=phi)
+        m = graph.left[x]
+        psi[m] = graph.right[lo]
+        psi_prime[m] = graph.right[hi]
+        label = dict(zip(graph.adj[x], graph.cosets[x]))
+        cosets[m] = (label[lo], label[hi])
+    return TwoToOneMap(psi=psi, psi_prime=psi_prime, phi=phi, cosets=cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +175,14 @@ def decomposition_from_map(
     space: CellSpace, ttm: TwoToOneMap, E: ExpansionSet, scope: Window
 ) -> Decomposition:
     """A_e collects the m whose lower branch is realised by e (first such e in
-    canonical coset order); B_e likewise for the upper branch."""
+    canonical coset order, as the graph labelled the edge); B_e likewise for
+    the upper branch."""
     A: dict = {e.key: [] for e in E}
     B: dict = {e.key: [] for e in E}
-    for branch, store in ((ttm.psi, A), (ttm.psi_prime, B)):
-        for m in sorted(branch, key=point_key):
-            target = branch[m]
-            e = next((e for e in E if space.semi_action(m, e) == target), None)
-            if e is None:
-                raise ConstructionError(
-                    f"no coset in E sends {m!r} to its matched image {target!r}"
-                )
+    for m, labels in sorted(ttm.cosets.items(), key=lambda item: point_key(item[0])):
+        for store, e in zip((A, B), labels):
+            if e.key not in store:
+                raise ConstructionError(f"the coset {e!r} that moves {m!r} is not in E")
             store[e.key].append(m)
     return Decomposition(
         E=E,
@@ -180,7 +200,11 @@ class DecompositionReport(CheckReport):
 def certified_interior(space: CellSpace, E: ExpansionSet, scope: Window) -> list:
     """Core points whose exact fiber under every coset of E lies in the core."""
     core = set(map(point_key, scope.core))
-    return [m for m in scope.core if _fibers_in_core(space, E, m, core)]
+    return [
+        m
+        for m in scope.core
+        if all(point_key(p) in core for e in E for p in space.exact_preimage_point(e, m))
+    ]
 
 
 def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionReport:
@@ -292,42 +316,6 @@ def canonical_free_decomposition(space: CellSpace, scope: Window) -> Decompositi
         b_inv.key: tuple(m for m in core if not ends_in_b(m)),
     }
     return Decomposition(E=E, A=A, B=B, scope=scope)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive non-existence search on tiny finite spaces
-
-
-def search_decompositions(
-    space: CellSpace, max_expansion: int = 2
-) -> Optional[Decomposition]:
-    """First verified decomposition over any expansion set of at most the
-    given size, or None. Exhaustive over all labelled assignments, so it is
-    only feasible for very small finite spaces."""
-    if not space.is_finite:
-        raise ConstructionError("exhaustive search needs a finite space")
-    scope = space.full_window()
-    pts = scope.core
-    cosets = space.cosets()
-    for size in range(1, max_expansion + 1):
-        for combo in itertools.combinations(cosets, size):
-            E = ExpansionSet.of(combo)
-            keys = [e.key for e in E]
-            for fa in itertools.product(keys, repeat=len(pts)):
-                A = _pieces(keys, pts, fa)
-                for fb in itertools.product(keys, repeat=len(pts)):
-                    D = Decomposition(E=E, A=A, B=_pieces(keys, pts, fb), scope=scope)
-                    if verify_decomposition(space, D).passed:
-                        return D
-    return None
-
-
-def _pieces(keys: list, pts: tuple, labels: tuple) -> dict:
-    """The pieces of ``pts`` when point i goes to the coset key ``labels[i]``."""
-    pieces: dict = {k: [] for k in keys}
-    for m, k in zip(pts, labels):
-        pieces[k].append(m)
-    return {k: tuple(v) for k, v in pieces.items()}
 
 
 # ---------------------------------------------------------------------------

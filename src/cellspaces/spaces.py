@@ -194,6 +194,23 @@ def group_window(P: Group, core_radius: int, halo_radius: int, sort: bool) -> Wi
     return Window(core, halo, f"{shape} r={core_radius}, halo r={halo_radius}")
 
 
+def certifying_halo_radius(space: "CellSpace", E: ExpansionSet, window: Window) -> Optional[int]:
+    """The smallest halo radius whose window holds the core's images under
+    E: the core radius plus the longest step ``m0 |> e`` of E, both in the
+    metric of ``group_window`` (the sup-norm on Z^d, the word length on F_k);
+    None on any other point group."""
+    P = space.point_group
+    if isinstance(P, FreeAbelianGroup):
+        norm = lambda p: max(map(abs, p), default=0)
+    elif isinstance(P, FreeGroup):
+        norm = len
+    else:
+        return None
+    core = max((norm(point_key(m)) for m in window.core), default=0)
+    step = max((norm(point_key(space.semi_action(space.m0, e))) for e in E), default=0)
+    return core + step
+
+
 @dataclass(frozen=True)
 class PreimageResult:
     """Windowed preimage of A under ``. |> g``.
@@ -302,6 +319,21 @@ class CellSpace:
         """All m in M with m |> coset = a: a scan of ``points()``, so backends
         with infinitely many points override it."""
         return [m for m in self.points() if self.semi_action(m, coset) == a]
+
+    def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
+        """``. |> coset`` on point keys (``point_key``): the pair (image,
+        fiber), where image(k) is the key of ``m |> coset`` and fiber(k) the
+        keys of ``exact_preimage_point(coset, m)``, m the point of key k.
+
+        This default calls the element-level methods; spaces whose points
+        are the elements of their point group compute on payloads.
+        """
+        P = self.point_group
+        point = (lambda k: k) if P is None else P.element
+        return (
+            lambda k: point_key(self.semi_action(point(k), coset)),
+            lambda k: [point_key(m) for m in self.exact_preimage_point(coset, point(k))],
+        )
 
     # -- cosets ------------------------------------------------------------
     def coset(self, g: GroupElement) -> Coset:
@@ -553,6 +585,11 @@ class GroupAsSpace(CellSpace):
         # m * g = a, and G0 is trivial, so the preimage is a single point
         return [a * coset.rep.inverse()]
 
+    def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
+        G, g = self.group, coset.rep.payload
+        g_inv = G._inv(g)
+        return (lambda p: G._mul(p, g), lambda p: [G._mul(p, g_inv)])
+
     def ball_window(self, core_radius: int, halo_radius: int) -> Window:
         """Boxes of Z^d, or balls of G in ``Group.ball`` order."""
         return group_window(self.point_group, core_radius, halo_radius, sort=False)
@@ -605,6 +642,11 @@ class SemidirectCellSpace(CellSpace):
     def exact_preimage_point(self, coset: Coset, a) -> list:
         H = self.sd.H
         return [GroupElement(H, H._mul(a.payload, H._inv(coset.rep.payload[1])))]
+
+    def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
+        H, t = self.sd.H, coset.rep.payload[1]
+        t_inv = H._inv(t)
+        return (lambda p: H._mul(p, t), lambda p: [H._mul(p, t_inv)])
 
     def ball_window(self, core_radius: int, halo_radius: int) -> Window:
         """Boxes of Z^d, or balls of H sorted by key."""

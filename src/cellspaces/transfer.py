@@ -308,6 +308,18 @@ def hyperoct_space(d: int) -> SemidirectCellSpace:
     return SemidirectCellSpace(SemidirectProduct(g0, lattice, tau), name=f"hyperoct:{d}")
 
 
+# the largest d whose radius-1 box, 3^d points, a window may enumerate
+# (MAX_ENUMERATED_POINTS in the CLI), and the letters a..h that name the
+# generators of a free group
+ZD_MAX_RANK = 12
+FREE_MAX_RANK = 8
+
+
+def _check_rank(name: str, rank: int, limit: int, limit_name: str) -> None:
+    if rank > limit:
+        raise ConstructionError(f"{name} exceeds the largest supported rank {limit_name} = {limit}")
+
+
 def space_by_name(name: str) -> CellSpace:
     """Factory for the named example spaces: affine:q, hyperoct:d, zd:d,
     free:k."""
@@ -321,7 +333,9 @@ def space_by_name(name: str) -> CellSpace:
     if kind == "hyperoct":
         return hyperoct_space(value)
     if kind == "zd":
+        _check_rank(name, value, ZD_MAX_RANK, "ZD_MAX_RANK")
         return GroupAsSpace(FreeAbelianGroup(value), name=name)
     if kind == "free":
+        _check_rank(name, value, FREE_MAX_RANK, "FREE_MAX_RANK")
         return GroupAsSpace(FreeGroup(value), name=name)
     raise ConstructionError(f"unknown space kind {kind!r} in {name!r}")

@@ -2,13 +2,17 @@
 
 These deliberately avoid the library's abstractions: boxes and reduced words
 are enumerated directly, and the matching oracle is a plain backtracking
-search over k-subsets.
+search over k-subsets. The exhaustive decomposition search enumerates every
+labelled assignment and leaves each candidate to ``verify_decomposition``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Optional
+
+from cellspaces import ConstructionError, Decomposition, ExpansionSet, verify_decomposition
 
 
 def box_points(n: int, d: int = 2) -> set:
@@ -109,3 +113,33 @@ def check_semi_invariance_subsets(space, mu) -> bool:
                 if mu.measure(moved) != mu.measure(A):
                     return False
     return True
+
+
+def search_decompositions(space, max_expansion: int = 2) -> Optional[Decomposition]:
+    """First verified decomposition over any expansion set of at most the
+    given size, or None. Exhaustive over all labelled assignments, so it is
+    only feasible for very small finite spaces."""
+    if not space.is_finite:
+        raise ConstructionError("exhaustive search needs a finite space")
+    scope = space.full_window()
+    pts = scope.core
+    cosets = space.cosets()
+    for size in range(1, max_expansion + 1):
+        for combo in itertools.combinations(cosets, size):
+            E = ExpansionSet.of(combo)
+            keys = [e.key for e in E]
+            for fa in itertools.product(keys, repeat=len(pts)):
+                A = _pieces(keys, pts, fa)
+                for fb in itertools.product(keys, repeat=len(pts)):
+                    D = Decomposition(E=E, A=A, B=_pieces(keys, pts, fb), scope=scope)
+                    if verify_decomposition(space, D).passed:
+                        return D
+    return None
+
+
+def _pieces(keys: list, pts: tuple, labels: tuple) -> dict:
+    """The pieces of ``pts`` when point i goes to the coset key ``labels[i]``."""
+    pieces: dict = {k: [] for k in keys}
+    for m, k in zip(pts, labels):
+        pieces[k].append(m)
+    return {k: tuple(v) for k, v in pieces.items()}

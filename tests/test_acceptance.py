@@ -33,7 +33,6 @@ from cellspaces import (
     mean_from_measure,
     measure_from_mean,
     ratios,
-    search_decompositions,
     solve_harem,
     space_by_name,
     transfer_invariance_check,
@@ -47,6 +46,7 @@ from oracles import (
     free2_ball_ratio_out,
     free2_product_size,
     perfect_harem_exists,
+    search_decompositions,
 )
 
 

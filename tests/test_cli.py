@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cellspaces
+import cellspaces.cli as cli
 from cellspaces import (
     Decomposition,
     ExpansionSet,
@@ -44,11 +45,29 @@ def test_unknown_command_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["affine:6", "zd:0", "zd:-1", "hyperoct:0", "hyperoct:7", "hyperoct:40"]
+    "name",
+    ["affine:6", "zd:0", "zd:-1", "hyperoct:0", "hyperoct:7", "hyperoct:40", "zd:13", "free:9"],
 )
 def test_bad_space_exits_1(tmp_path, name):
     cfg = write(tmp_path, "c.json", {"space": {"name": name}})
     assert run(["describe", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize(
+    "name, limit", [("zd:100000", "ZD_MAX_RANK = 12"), ("free:100000", "FREE_MAX_RANK = 8")]
+)
+def test_rank_above_the_limit_exits_1_at_once(tmp_path, capsys, name, limit):
+    cfg = write(tmp_path, "c.json", {"space": {"name": name}})
+    start = time.perf_counter()
+    assert run(["describe", "--config", cfg]) == 1
+    assert time.perf_counter() - start < 1
+    assert limit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["zd:12", "free:8"])
+def test_largest_supported_rank_is_described(tmp_path, name):
+    cfg = write(tmp_path, "c.json", {"space": {"name": name}})
+    assert run(["describe", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 0
 
 
 def test_describe_affine3(tmp_path):
@@ -474,12 +493,24 @@ def test_enumeration_limit_admits_the_free2_radius_12_halo():
 # quotes, backslashes, control characters and non-ASCII text
 _text = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2603'), max_size=6)
 _leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.fractions() | _text
+# encoded points such as {"g": [1, -2]}, {"t": [0, 3]} and the identity
+# {"g": []}, and near misses: a bool letter, a tuple, a second key
+_point = st.builds(
+    lambda k, w: {k: w}, st.sampled_from(["g", "t"]), st.lists(st.integers(), max_size=3)
+)
+_near_point = (
+    st.builds(lambda w: {"g": w}, st.lists(st.integers() | st.booleans(), min_size=1, max_size=2))
+    | st.builds(lambda w: {"g": tuple(w)}, st.lists(st.integers(), max_size=2))
+    | st.builds(lambda w: {"g": w, "t": w}, st.lists(st.integers(), max_size=2))
+)
 _documents = st.recursive(
     _leaves,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_text, inner, max_size=4)
-    | st.dictionaries(st.integers(), inner, max_size=3),
+    | st.dictionaries(st.integers(), inner, max_size=3)
+    | st.lists(_point, max_size=5)
+    | st.lists(_point | _near_point | inner, max_size=4),
     max_leaves=20,
 )
 
@@ -489,6 +520,23 @@ _documents = st.recursive(
 def test_report_writer_matches_json_dumps(doc):
     """The report writer gives the bytes of json.dumps with the CLI's settings."""
     assert report_text(doc) == json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
+
+
+def test_report_writer_writes_a_point_list_in_one_call(monkeypatch):
+    """A list of encoded points, the identity among them, is written without
+    a recursive call per point."""
+    calls = [0]
+    dump = cli._dump
+
+    def counted(value, nl):
+        calls[0] += 1
+        return dump(value, nl)
+
+    monkeypatch.setattr(cli, "_dump", counted)
+    points = [{"g": []}, {"g": [1, -2]}, {"t": [3]}] * 50
+    text = report_text(points)
+    assert text == json.dumps(points, sort_keys=True, indent=2) + "\n"
+    assert calls[0] == 1
 
 
 @pytest.mark.parametrize(

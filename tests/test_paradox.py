@@ -23,13 +23,15 @@ from cellspaces import (
     decomposition_from_map,
     decomposition_to_json,
     harem_matching,
-    search_decompositions,
     space_by_name,
     tarski_contradiction,
     two_to_one_from_matching,
     verify_decomposition,
 )
+from cellspaces import codec
 from cellspaces.groups import GroupElement
+from cellspaces.spaces import point_key
+from oracles import search_decompositions
 
 
 def free2():
@@ -69,6 +71,106 @@ def test_build_graph_refuses_small_halo():
     E = unit_cosets(sp)
     with pytest.raises(UncertifiedWindowError):
         build_graph(sp, E, sp.ball_window(2, 2))
+
+
+def _cosets(space, reps):
+    return ExpansionSet.of([space.coset(codec.element(space.group, d)) for d in reps])
+
+
+@pytest.mark.parametrize(
+    "name, core, halo, reps, radius",
+    [
+        ("free:2", 3, 3, [[], [1], [-1], [2], [-2]], 4),
+        ("free:2", 2, 3, [[], [1, 2, 1]], 5),
+        ("zd:2", 2, 3, [[0, 0], [2, -1]], 4),
+        ("hyperoct:2", 2, 2, [[[1, 2], [0, 0]], [[-1, 2], [0, -1]]], 3),
+    ],
+)
+def test_uncertified_window_names_the_certifying_halo(name, core, halo, reps, radius):
+    """The named radius, core radius plus the longest step of E, is the
+    smallest halo that certifies the window."""
+    sp = space_by_name(name)
+    E = _cosets(sp, reps)
+    with pytest.raises(UncertifiedWindowError, match=f"a halo of radius {radius} certifies"):
+        build_graph(sp, E, sp.ball_window(core, halo))
+    with pytest.raises(UncertifiedWindowError):
+        build_graph(sp, E, sp.ball_window(core, radius - 1))
+    build_graph(sp, E, sp.ball_window(core, radius))
+
+
+def brute_force_graph(space, E, window) -> tuple:
+    """(left, right, adj, right_interior, edge coset keys) of the window
+    graph, from the element-level ``semi_action`` and
+    ``exact_preimage_point`` alone."""
+    core = set(window.core)
+    images = [[space.semi_action(m, e) for e in E] for m in window.core]
+    right = sorted({y for row in images for y in row}, key=point_key)
+    position = {y: i for i, y in enumerate(right)}
+    adj, labels = [], []
+    for row in images:
+        ys = sorted({position[y] for y in row})
+        adj.append(tuple(ys))
+        labels.append(tuple(next(e.key for e, y in zip(E, row) if position[y] == j) for j in ys))
+    interior = tuple(
+        all(p in core for e in E for p in space.exact_preimage_point(e, y)) for y in right
+    )
+    return tuple(window.core), tuple(right), tuple(adj), interior, tuple(labels)
+
+
+_UNIT_FREE2 = [[], [1], [-1], [2], [-2]]
+_GRAPH_CASES = {
+    **{
+        f"free2-r{r}-halo{r + 1}": ("free:2", (r, r + 1), _UNIT_FREE2) for r in (2, 3, 4)
+    },
+    **{
+        f"free2-r{r}-halo{r + 2}": ("free:2", (r, r + 2), _UNIT_FREE2 + [[1, 2], [-2, -1]])
+        for r in (2, 3, 4)
+    },
+    "zd2-box": ("zd:2", (2, 4), [[0, 0], [1, 0], [0, -1], [2, -1], [-2, 2]]),
+    "hyperoct2-box": (
+        "hyperoct:2",
+        (2, 4),
+        [[[1, 2], [0, 0]], [[-1, 2], [1, 0]], [[2, 1], [0, -2]], [[1, -2], [2, 1]]],
+    ),
+    "affine5-full": ("affine:5", None, [[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [3, 4, 0, 1, 2]]),
+    "affine3-acting-twice": (
+        "affine:3",
+        None,
+        [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRAPH_CASES))
+def test_build_graph_matches_the_element_level_graph(case):
+    name, radii, reps = _GRAPH_CASES[case]
+    sp = space_by_name(name)
+    if case == "affine3-acting-twice":
+        # g acts as g o g: the semi-action is not free, so two cosets of E
+        # send some point to one image and the edge takes the first one's label
+        sp._action = lambda g, m: g.payload[g.payload[m]]
+    E = _cosets(sp, reps)
+    window = sp.ball_window(*radii) if radii else sp.full_window()
+    graph = build_graph(sp, E, window)
+    labels = tuple(tuple(e.key for e in row) for row in graph.cosets)
+    got = (graph.left, graph.right, graph.adj, graph.right_interior, labels)
+    assert got == brute_force_graph(sp, E, window)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["free:1", "free:2", "free:3", "zd:1", "zd:2", "zd:3", "hyperoct:1", "hyperoct:2",
+     "hyperoct:3"] + [f"affine:{q}" for q in (2, 3, 4, 5, 7, 8, 9)],
+)
+def test_key_maps_agree_with_the_element_methods(name):
+    sp = space_by_name(name)
+    points = sp.ball_window(2, 2).core[::3] if hasattr(sp, "ball_window") else sp.points()
+    for e in ExpansionSet.of(sp.coset(g) for g in sp.group.ball(2)):
+        image, fiber = sp.key_maps(e)
+        for m in points:
+            k = point_key(m)
+            assert image(k) == point_key(sp.semi_action(m, e))
+            assert sorted(fiber(k)) == sorted(map(point_key, sp.exact_preimage_point(e, m)))
 
 
 def test_two_to_one_map_fibers():
