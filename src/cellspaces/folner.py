@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ConstructionError
-from .spaces import CellSpace, Coset, ExpansionSet, Window
+from .errors import ConstructionError, IntegrityError, ScopeMismatchError
+from .spaces import CellSpace, Coset, ExpansionSet, Window, point_key
 
 # each step of doubling_from_failure forms |E|·|G0|·|E2| coset products, and
 # |E| grows about |E2|-fold per step; free:2 with epsilon = 1/10 peaks at 21,865
@@ -40,19 +40,32 @@ class RatioRecord:
 def ratios(
     space: CellSpace, F: Sequence, coset: Coset, universe: Window, set_id: str = "F"
 ) -> RatioRecord:
+    """The ratios of F under ``. |> coset``, counted on point keys: the
+    fibers come from the space's ``key_maps``, with the checks of
+    ``CellSpace.preimage``."""
     if not F:
         raise ConstructionError("F must be non-empty")
-    pre = space.preimage(coset, list(F), universe)
-    f_set = set(F)
-    pre_set = set(pre.points)
+    halo = universe.halo_keys
+    f_keys = set(map(point_key, F))
+    if not f_keys <= halo:
+        raise ScopeMismatchError("A must be contained in the window halo")
+    _, fiber = space.key_maps(coset)
+    exact = {p for k in f_keys for p in fiber(k)}
+    bound = len(space.stabilizer) * len(f_keys)
+    if len(exact) > bound:
+        raise IntegrityError(
+            f"preimage size {len(exact)} exceeds |G0|*|A| = {bound}; "
+            "the coordinate system is broken"
+        )
+    pre = exact & halo
     n = len(F)
     return RatioRecord(
         set_id=set_id,
         coset_key=coset.key,
         size=n,
-        ratio_out=Fraction(len(f_set - pre_set), n),
-        ratio_in=Fraction(len(pre_set - f_set), n),
-        certified=pre.certified,
+        ratio_out=Fraction(len(f_keys - pre), n),
+        ratio_in=Fraction(len(pre - f_keys), n),
+        certified=len(pre) == len(exact),
     )
 
 
@@ -180,9 +193,12 @@ def check_doubling(
     E: ExpansionSet,
     family: Sequence[tuple[str, Sequence]],
 ) -> DoublingReport:
-    """Per-set verdict |F |> E| >= 2|F| with exact cardinalities."""
+    """Per-set verdict |F |> E| >= 2|F| with exact cardinalities, counted
+    on point keys."""
+    images = [image for image, _ in map(space.key_maps, E)]
     verdicts = []
     for set_id, F in family:
-        image = space.semi_action_set(F, E)
-        verdicts.append(DoublingVerdict(set_id, len(set(F)), len(image)))
+        keys = set(map(point_key, F))
+        image = {f(k) for f in images for k in keys}
+        verdicts.append(DoublingVerdict(set_id, len(keys), len(image)))
     return DoublingReport(verdicts)

@@ -395,10 +395,14 @@ class SemidirectProduct(Group):
         self.H = h_group
         self.tau = dict(tau)
         self.signature = ("semidirect", g0_group.signature, h_group.signature)
+        self._e0 = g0_group._identity()
         self._validate()
 
     def tau_apply(self, g0_payload: Payload, h: Payload) -> Payload:
         """tau(g0) applied to the H element with payload ``h``, as a payload."""
+        if g0_payload == self._e0:
+            # tau(e) fixes every generator (checked in _validate), so it is the identity
+            return h
         H = self.H
         acc = H._identity()
         if isinstance(H, FreeAbelianGroup):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConstructionError, IntegrityError, ScopeMismatchError, UncertifiedWindowError
-from .spaces import CellSpace, Coset, Window
+from .spaces import CellSpace, Coset, Window, certifying_halo_note
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,7 @@ def funcamact(space: CellSpace, f: BoundedFn, coset: Coset) -> BoundedFn:
         if not pre.certified:
             raise UncertifiedWindowError(
                 f"halo does not certify the fiber of {m!r} under {coset!r}"
+                + certifying_halo_note(space, [coset], universe.core, "the window")
             )
         s = sum((f(mp) for mp in pre.points), Fraction(0))
         if s:
@@ -189,7 +190,10 @@ def empirical_mean_defect(
         raise ConstructionError("F must be non-empty")
     pre = space.preimage(coset, list(F), universe)
     if not pre.certified:
-        raise UncertifiedWindowError("halo does not certify the preimage of F")
+        raise UncertifiedWindowError(
+            "halo does not certify the preimage of F"
+            + certifying_halo_note(space, [coset], F, "it")
+        )
     f_set = set(F)
     pre_set = set(pre.points)
     inward = pre_set - f_set

@@ -31,7 +31,7 @@ from .spaces import (
     CheckReport,
     ExpansionSet,
     Window,
-    certifying_halo_radius,
+    certifying_halo_note,
     point_key,
 )
 
@@ -69,10 +69,9 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
     if any(-1 in row for row in T):
         i, c = min((row.index(-1), c) for c, row in enumerate(T) if -1 in row)
         m, e = window.core[i], cosets[c]
-        R = certifying_halo_radius(space, E, window)
         raise UncertifiedWindowError(
             f"image {space.semi_action(m, e)!r} of {m!r} under {e!r} escapes the window halo"
-            + (f"; a halo of radius {R} certifies the window" if R is not None else "")
+            + certifying_halo_note(space, E, window.core, "the window")
         )
     # in_core[-1] stays False: number.get gives -1 for a key outside the halo
     in_core = [False] * (len(halo_keys) + 1)

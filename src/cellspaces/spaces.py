@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -117,6 +118,11 @@ class Window:
     def halo_set(self) -> frozenset:
         return frozenset(self.halo)
 
+    @cached_property
+    def halo_keys(self) -> frozenset:
+        """The halo's ``point_key``s, built on first use and kept."""
+        return frozenset(map(point_key, self.halo))
+
 
 def box_points(group: FreeAbelianGroup, lo: int, hi: int) -> tuple:
     """The elements of Z^d whose every coordinate lies in ``range(lo, hi)``."""
@@ -194,11 +200,14 @@ def group_window(P: Group, core_radius: int, halo_radius: int, sort: bool) -> Wi
     return Window(core, halo, f"{shape} r={core_radius}, halo r={halo_radius}")
 
 
-def certifying_halo_radius(space: "CellSpace", E: ExpansionSet, window: Window) -> Optional[int]:
-    """The smallest halo radius whose window holds the core's images under
-    E: the core radius plus the longest step ``m0 |> e`` of E, both in the
-    metric of ``group_window`` (the sup-norm on Z^d, the word length on F_k);
-    None on any other point group."""
+def certifying_halo_radius(
+    space: "CellSpace", E: Iterable[Coset], points: Sequence
+) -> Optional[int]:
+    """The smallest halo radius whose window holds the images of ``points``
+    under E, and their fibers: the largest radius of a point plus the
+    longest step ``m0 |> e`` of E, both in the metric of ``group_window``
+    (the sup-norm on Z^d, the word length on F_k); None on any other point
+    group."""
     P = space.point_group
     if isinstance(P, FreeAbelianGroup):
         norm = lambda p: max(map(abs, p), default=0)
@@ -206,9 +215,18 @@ def certifying_halo_radius(space: "CellSpace", E: ExpansionSet, window: Window) 
         norm = len
     else:
         return None
-    core = max((norm(point_key(m)) for m in window.core), default=0)
+    reach = max((norm(point_key(m)) for m in points), default=0)
     step = max((norm(point_key(space.semi_action(space.m0, e))) for e in E), default=0)
-    return core + step
+    return reach + step
+
+
+def certifying_halo_note(
+    space: "CellSpace", E: Iterable[Coset], points: Sequence, what: str
+) -> str:
+    """``; a halo of radius R certifies <what>``, R from
+    ``certifying_halo_radius``, or "" where it names none."""
+    R = certifying_halo_radius(space, E, points)
+    return "" if R is None else f"; a halo of radius {R} certifies {what}"
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,14 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import os
+from fractions import Fraction
 
 import pytest
 
 import cellspaces.paradox as paradox
 from cellspaces import (
     Decomposition,
+    ExpansionSet,
     FreeAbelianGroup,
     FreeGroup,
     SignedPermutationGroup,
@@ -25,8 +27,11 @@ from cellspaces import (
     affine_space,
     affine_translations,
     canonical_free_decomposition,
+    check_doubling,
     check_transfer_conditions,
+    folner_search,
     hyperoct_space,
+    ratios,
     space_by_name,
     verify_axioms,
     verify_decomposition,
@@ -35,9 +40,9 @@ from cellspaces import (
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def counting(space) -> dict:
-    """Count the space's semi_action and left_action calls from now on."""
-    counts = {"semi_action": 0, "left_action": 0}
+def counting(space, names=("semi_action", "left_action")) -> dict:
+    """Count the calls of the space's methods ``names`` from now on."""
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         fn = getattr(space, name)
 
@@ -298,6 +303,23 @@ def test_ball_family_is_one_walk():
     assert counts["left_action"] == 0
     sp.orbit_balls([4, 8, 12, 16, 20, 24])
     assert counts["left_action"] == len(gens) * len(inner)
+
+
+@pytest.mark.parametrize("name", ["free:2", "hyperoct:2"])
+def test_folner_side_reads_key_maps_only(name):
+    # ratios, folner_search and check_doubling count on the payload-level
+    # key_maps: the element-level preimage, fiber and semi-action stay unread
+    sp = space_by_name(name)
+    window = sp.ball_window(4, 6)
+    family = list(zip(["ball:2", "ball:4"], sp.orbit_balls([2, 4])))
+    E = ExpansionSet.of(sp.coset(g) for g in sp.group.ball(1))
+    counts = counting(sp, ("preimage", "semi_action", "exact_preimage_point"))
+    recs = [ratios(sp, F, e, window, set_id) for set_id, F in family for e in E]
+    search = folner_search(sp, E, Fraction(1, 100), family, window)
+    report = check_doubling(sp, E, family)
+    assert counts == {"preimage": 0, "semi_action": 0, "exact_preimage_point": 0}
+    assert all(r.certified for r in recs)
+    assert search.exhausted and len(report.verdicts) == 2
 
 
 def _load_layers():

@@ -40,6 +40,14 @@ PARADOX_FREE2 = {
     "E": [[], [1], [-1], [2], [-2]],
 }
 AFFINE5 = {"space": {"name": "affine:5"}}
+# halo = core, so the preimages of the larger balls escape it
+FREE2_UNCERTIFIED = {
+    **FREE2,
+    "window": {"core_radius": 3, "halo_radius": 3},
+    "E": [[1], [2], [1, 2]],
+    "epsilon": "1/10",
+    "family": {"kind": "balls", "radii": [1, 2, 3]},
+}
 
 # case id -> (command, config, extra arguments)
 CASES = {
@@ -62,6 +70,10 @@ CASES = {
         {**AFFINE5, "E": [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]], "family": {"kind": "full"}},
         ["--format", "csv"],
     ),
+    "ratios-free2-uncertified-json": ("ratios", FREE2_UNCERTIFIED, []),
+    "ratios-free2-uncertified-csv": ("ratios", FREE2_UNCERTIFIED, ["--format", "csv"]),
+    "folner-search-free2": ("folner-search", FREE2_UNCERTIFIED, []),
+    "doubling-free2": ("doubling", {**FREE2_UNCERTIFIED, "E": PARADOX_FREE2["E"]}, []),
     "folner-search-zd1": (
         "folner-search",
         {
@@ -140,6 +152,9 @@ GOLDEN = {
     'describe-hyperoct2': (0, {
         'out': 'a1e7155854ea1506b3961491ea4e61ccd085640e6d08d5ce8a6367029ed24a3d',
     }),
+    'doubling-free2': (0, {
+        'out': '0bd3cef1a89ca34899d25c9034060a93839d6c2c9cb4f143b44f205ae1ce2679',
+    }),
     'doubling-hyperoct2': (2, {
         'out': '5fd26040cc581f689c80dc0cc5ef9add430b120f8aeeab696118023d2312b8d3',
         'witness': 'a1450e8fbf6d2e0665842b657db8dee88448ef8ff4a7ac0cc1941d4f14585429',
@@ -147,6 +162,9 @@ GOLDEN = {
     'doubling-zd2-fail': (2, {
         'out': '371e983bfc9b617652923d7702162b960856bbd6465af46c7be4d6883442f8b3',
         'witness': '3679771184b6eb338d4135d917df1053a56bc25cd59705625725367778b6eb66',
+    }),
+    'folner-search-free2': (0, {
+        'out': '131a8e623710ecb09539b51884ec0c2c5133b917d1a0e05aede42da623ad501f',
     }),
     'folner-search-hyperoct2': (0, {
         'out': 'ee9723bb4dfa619f3f05a3181cf0b5b5bc947a4d0f821d3c7f63c22402d58f54',
@@ -196,6 +214,12 @@ GOLDEN = {
     }),
     'ratios-affine5-csv': (0, {
         'out': 'f0a8d841a9266f6e4a6b626fcb38e3754c6b76964d3951bcfd5ad452fc4373b5',
+    }),
+    'ratios-free2-uncertified-csv': (0, {
+        'out': 'f451611f4ae0b1d422f2702462d3f0dffe676a9fde81b3ab076d7870f5f1b7d1',
+    }),
+    'ratios-free2-uncertified-json': (0, {
+        'out': '1e9fdccfa59d25093d9958e297a44c7169e487370c49da70105efb7f81321df8',
     }),
     'ratios-hyperoct2-boxes-csv': (0, {
         'out': '3037dd78ac3521e6179c5d67c8035a8be08ecd85597b904cf757d2d1668af559',

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,15 @@ import pytest
 from cellspaces import (
     ConstructionError,
     ExpansionSet,
+    FiniteSpace,
+    FreeGroup,
+    GroupAsSpace,
+    IntegrityError,
+    PermutationGroup,
+    RatioRecord,
+    ScopeMismatchError,
+    Window,
+    affine_space,
     check_doubling,
     doubling_from_failure,
     folner_search,
@@ -154,3 +164,111 @@ def test_doubling_fails_on_lattice_boxes():
         assert verdict.size == n * n
         assert verdict.image_size == n * n + 4 * n  # cross-shaped dilation
         assert not verdict.passed
+
+
+# ---------------------------------------------------------------------------
+# the key path of ratios and check_doubling against the element path
+
+
+def element_ratios(space, F, coset, universe, set_id):
+    """The RatioRecord recounted on elements, from ``CellSpace.preimage``
+    and ``set(F)``."""
+    pre = space.preimage(coset, list(F), universe)
+    f_set, pre_set, n = set(F), set(pre.points), len(F)
+    return RatioRecord(
+        set_id,
+        coset.key,
+        n,
+        Fraction(len(f_set - pre_set), n),
+        Fraction(len(pre_set - f_set), n),
+        pre.certified,
+    )
+
+
+def transposition_space():
+    """S3 on {0, 1, 2} with the transpositions (0 1) and (0 2) as
+    coordinates. They are no subgroup, so the semi-action is no action and
+    a fiber can hold |G0| = 2 points; the space takes the default
+    ``key_maps``."""
+    s3 = PermutationGroup(3, [(1, 0, 2), (1, 2, 0)])
+    coords = {0: s3.identity(), 1: s3.element((1, 0, 2)), 2: s3.element((2, 1, 0))}
+    return FiniteSpace(s3, [0, 1, 2], lambda g, m: g.payload[m], 0, coords, "s3-transpositions")
+
+
+def _infinite_case(name, core, halo):
+    sp = space_by_name(name)
+    window = sp.ball_window(core, halo)
+    rng = random.Random(len(window.core))
+    family = list(zip(["ball:0", "ball:1", "ball:2", "ball:3"], sp.orbit_balls([0, 1, 2, 3])))
+    family += [(f"sample:{i}", rng.sample(window.core, len(window.core) // 3)) for i in range(3)]
+    E = ExpansionSet.of(sp.coset(g) for g in sp.group.ball(2))
+    return sp, window, family, E
+
+
+def _finite_case(sp, certified):
+    points = tuple(sp.points())
+    window = sp.full_window() if certified else Window(points[:2], points[:2])
+    halo = window.halo
+    subsets = (F for n in range(1, len(halo) + 1) for F in itertools.combinations(halo, n))
+    family = [(f"subset:{i}", list(F)) for i, F in enumerate(subsets)]
+    return sp, window, family, ExpansionSet.of(sp.cosets())
+
+
+KEY_PATH_CASES = {
+    "free2-certified": lambda: _infinite_case("free:2", 3, 5),
+    "free2-uncertified": lambda: _infinite_case("free:2", 3, 3),
+    "zd2-certified": lambda: _infinite_case("zd:2", 3, 5),
+    "zd2-uncertified": lambda: _infinite_case("zd:2", 3, 3),
+    "hyperoct2-certified": lambda: _infinite_case("hyperoct:2", 3, 5),
+    "hyperoct2-uncertified": lambda: _infinite_case("hyperoct:2", 3, 3),
+    "affine5-certified": lambda: _finite_case(affine_space(5), True),
+    "affine5-uncertified": lambda: _finite_case(affine_space(5), False),
+    "transpositions-certified": lambda: _finite_case(transposition_space(), True),
+    "transpositions-uncertified": lambda: _finite_case(transposition_space(), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_PATH_CASES))
+def test_ratios_on_keys_match_the_element_path(case):
+    sp, window, family, E = KEY_PATH_CASES[case]()
+    certified = set()
+    for set_id, F in family:
+        for e in E:
+            rec = ratios(sp, F, e, window, set_id)
+            assert rec == element_ratios(sp, F, e, window, set_id)
+            certified.add(rec.certified)
+    assert certified == ({True} if case.endswith("-certified") else {True, False})
+
+
+@pytest.mark.parametrize("case", sorted(KEY_PATH_CASES))
+def test_doubling_on_keys_matches_the_element_image(case):
+    sp, _, family, E = KEY_PATH_CASES[case]()
+    report = check_doubling(sp, E, family)
+    assert [v.set_id for v in report.verdicts] == [set_id for set_id, _ in family]
+    for v, (_, F) in zip(report.verdicts, family):
+        assert v.size == len(set(F))
+        assert v.image_size == len(sp.semi_action_set(F, E))
+
+
+def test_ratios_refuse_a_set_outside_the_halo():
+    sp = space_by_name("free:2")
+    window = sp.ball_window(3, 3)
+    F = [*window.core, sp.group.word([1, 1, 1, 1])]
+    with pytest.raises(ScopeMismatchError, match="halo"):
+        ratios(sp, F, sp.coset(sp.group.word([1])), window)
+
+
+class WideFibers(GroupAsSpace):
+    """free:2 whose fiber map also returns the point itself: more than
+    |G0|*|A| = |A| keys for a set A."""
+
+    def key_maps(self, coset):
+        image, fiber = super().key_maps(coset)
+        return image, lambda k: fiber(k) + [k]
+
+
+def test_ratios_refuse_fibers_above_the_stabiliser_bound():
+    sp = WideFibers(FreeGroup(2))
+    window = sp.ball_window(1, 2)
+    with pytest.raises(IntegrityError, match=r"preimage size 8 exceeds \|G0\|\*\|A\| = 5"):
+        ratios(sp, list(window.core), sp.coset(sp.group.word([1])), window)

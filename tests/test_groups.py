@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,3 +170,47 @@ def test_hyperoctahedral_tau_is_total_and_valid():
     for g in g0.elements():
         got = sd.tau_apply(g.payload, (2, -3))
         assert got == g0.apply_to_vector(g, (2, -3))
+
+
+def _tau_by_generators(sd, g0, h):
+    """tau(g0)(h) from the tau table alone: the product, over the letters of
+    h (or the coordinates of h on Z^d), of their generator images."""
+    H = sd.H
+    if isinstance(H, FreeAbelianGroup):
+        acc = [0] * H.d
+        for i, c in enumerate(h):
+            acc = [a + c * b for a, b in zip(acc, sd.tau[(g0, i)])]
+        return tuple(acc)
+    word = []
+    for x in h:
+        img = sd.tau[(g0, abs(x) - 1)]
+        word += img if x > 0 else [-y for y in reversed(img)]
+    return reduce_word(word)
+
+
+def _letter_swap_product():
+    """S2 x| F_2, the non-identity element swapping the letters a and b."""
+    g0 = PermutationGroup(2, [(1, 0)])
+    tau = {((0, 1), 0): (1,), ((0, 1), 1): (2,), ((1, 0), 0): (2,), ((1, 0), 1): (1,)}
+    return SemidirectProduct(g0, FreeGroup(2), tau)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tau_apply_matches_the_generator_table(d):
+    g0, h = SignedPermutationGroup(d), FreeAbelianGroup(d)
+    sd = SemidirectProduct(g0, h, hyperoctahedral_tau(g0, h))
+    rng = random.Random(d)
+    sample = [(0,) * d] + [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(40)]
+    e0 = g0.identity().payload
+    for v in sample:
+        assert sd.tau_apply(e0, v) == v == _tau_by_generators(sd, e0, v)
+        for g in g0.elements():
+            assert sd.tau_apply(g.payload, v) == _tau_by_generators(sd, g.payload, v)
+
+
+def test_tau_apply_matches_the_generator_table_on_a_free_factor():
+    sd = _letter_swap_product()
+    for w in sd.H.ball(3):
+        for g in sd.G0.elements():
+            assert sd.tau_apply(g.payload, w.payload) == _tau_by_generators(sd, g.payload, w.payload)
+        assert sd.tau_apply(sd.G0.identity().payload, w.payload) == w.payload

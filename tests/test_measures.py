@@ -146,3 +146,20 @@ def test_uniform_measure_shares_one_weight():
     weights = [mu.weight(m) for m in universe.core]
     assert all(w == Fraction(1, len(universe.core)) for w in weights)
     assert len({id(w) for w in weights}) == 1
+
+
+def test_uncertified_measures_name_the_certifying_halo():
+    # the fibers of a radius-3 core under a reach radius 4
+    sp = space_by_name("free:2")
+    a = sp.coset(sp.group.word([1]))
+    w = sp.ball_window(3, 3)
+    f = indicator(w, w.core[:10])
+    with pytest.raises(UncertifiedWindowError, match="a halo of radius 4 certifies the window$"):
+        funcamact(sp, f, a)
+    with pytest.raises(UncertifiedWindowError, match="a halo of radius 4 certifies it$"):
+        empirical_mean_defect(sp, list(w.core), a, f, w)
+    # the named halo certifies both
+    w = sp.ball_window(3, 4)
+    f = indicator(w, w.core[:10])
+    funcamact(sp, f, a)
+    empirical_mean_defect(sp, list(w.core), a, f, w)
