@@ -182,6 +182,8 @@ def _measure(space: CellSpace, universe: Window, cfg: dict) -> FAMeasure:
     if kind == "uniform":
         return FAMeasure.uniform(universe)
     if kind == "point_mass":
+        if "at" not in mcfg:
+            raise ConfigError("point_mass measure needs an at point")
         return FAMeasure.point_mass(universe, codec.decode_point(space, mcfg["at"]))
     if kind == "weights":
         pairs = _list(mcfg.get("weights"), "weights")

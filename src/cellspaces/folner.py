@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ConstructionError, IntegrityError, ScopeMismatchError
-from .spaces import CellSpace, Coset, ExpansionSet, Window, point_key
+from .errors import ConstructionError
+from .spaces import CellSpace, Coset, ExpansionSet, Window, fiber_in_window, point_key
 
 # each step of doubling_from_failure forms |E|·|G0|·|E2| coset products, and
 # |E| grows about |E2|-fold per step; free:2 with epsilon = 1/10 peaks at 21,865
@@ -41,23 +41,13 @@ def ratios(
     space: CellSpace, F: Sequence, coset: Coset, universe: Window, set_id: str = "F"
 ) -> RatioRecord:
     """The ratios of F under ``. |> coset``, counted on point keys: the
-    fibers come from the space's ``key_maps``, with the checks of
-    ``CellSpace.preimage``."""
+    fibers come from the space's ``key_maps``, cut to the window by
+    ``fiber_in_window`` as ``CellSpace.preimage`` cuts them."""
     if not F:
         raise ConstructionError("F must be non-empty")
-    halo = universe.halo_keys
     f_keys = set(map(point_key, F))
-    if not f_keys <= halo:
-        raise ScopeMismatchError("A must be contained in the window halo")
     _, fiber = space.key_maps(coset)
-    exact = {p for k in f_keys for p in fiber(k)}
-    bound = len(space.stabilizer) * len(f_keys)
-    if len(exact) > bound:
-        raise IntegrityError(
-            f"preimage size {len(exact)} exceeds |G0|*|A| = {bound}; "
-            "the coordinate system is broken"
-        )
-    pre = exact & halo
+    pre, certified = fiber_in_window(space, fiber, f_keys, universe.halo_keys)
     n = len(F)
     return RatioRecord(
         set_id=set_id,
@@ -65,7 +55,7 @@ def ratios(
         size=n,
         ratio_out=Fraction(len(f_keys - pre), n),
         ratio_in=Fraction(len(pre - f_keys), n),
-        certified=len(pre) == len(exact),
+        certified=certified,
     )
 
 
@@ -94,6 +84,8 @@ def folner_search(
     (min-max) candidate together with its witness coset."""
     if epsilon <= 0:
         raise ConstructionError("epsilon must be positive")
+    if not E:
+        raise ConstructionError("E must be non-empty")
     result = FolnerSearchResult(found=None, found_id=None)
     for set_id, F in family:
         recs = [ratios(space, F, e, universe, set_id) for e in E]

@@ -200,33 +200,47 @@ def group_window(P: Group, core_radius: int, halo_radius: int, sort: bool) -> Wi
     return Window(core, halo, f"{shape} r={core_radius}, halo r={halo_radius}")
 
 
-def certifying_halo_radius(
-    space: "CellSpace", E: Iterable[Coset], points: Sequence
-) -> Optional[int]:
-    """The smallest halo radius whose window holds the images of ``points``
-    under E, and their fibers: the largest radius of a point plus the
-    longest step ``m0 |> e`` of E, both in the metric of ``group_window``
-    (the sup-norm on Z^d, the word length on F_k); None on any other point
-    group."""
+def certifying_halo_note(
+    space: "CellSpace", E: Iterable[Coset], points: Sequence, what: str
+) -> str:
+    """``; a halo of radius R certifies <what>``, R the smallest halo radius
+    whose window holds the images of ``points`` under E, and their fibers:
+    the largest radius of a point plus the longest step ``m0 |> e`` of E,
+    both in the metric of ``group_window`` (the sup-norm on Z^d, the word
+    length on F_k); "" on any other point group."""
     P = space.point_group
     if isinstance(P, FreeAbelianGroup):
         norm = lambda p: max(map(abs, p), default=0)
     elif isinstance(P, FreeGroup):
         norm = len
     else:
-        return None
+        return ""
     reach = max((norm(point_key(m)) for m in points), default=0)
     step = max((norm(point_key(space.semi_action(space.m0, e))) for e in E), default=0)
-    return reach + step
+    return f"; a halo of radius {reach + step} certifies {what}"
 
 
-def certifying_halo_note(
-    space: "CellSpace", E: Iterable[Coset], points: Sequence, what: str
-) -> str:
-    """``; a halo of radius R certifies <what>``, R from
-    ``certifying_halo_radius``, or "" where it names none."""
-    R = certifying_halo_radius(space, E, points)
-    return "" if R is None else f"; a halo of radius {R} certifies {what}"
+def fiber_in_window(
+    space: "CellSpace", fiber: Callable[[object], Iterable], targets: set, halo: frozenset
+) -> tuple[set, bool]:
+    """The points of the fibers ``fiber(a)``, a in ``targets``, that lie in
+    ``halo``, and whether every fiber point does (the count is then exact).
+
+    Points and targets may be elements or point keys, as long as ``halo``
+    holds the same kind. Targets outside the halo are refused, and so are
+    more than |G0|*|targets| fiber points, which no coordinate system gives.
+    """
+    if not targets <= halo:
+        raise ScopeMismatchError("A must be contained in the window halo")
+    exact = {m for a in targets for m in fiber(a)}
+    bound = len(space.stabilizer) * len(targets)
+    if len(exact) > bound:
+        raise IntegrityError(
+            f"preimage size {len(exact)} exceeds |G0|*|A| = {bound}; "
+            "the coordinate system is broken"
+        )
+    inside = exact & halo
+    return inside, len(inside) == len(exact)
 
 
 @dataclass(frozen=True)
@@ -370,20 +384,10 @@ class CellSpace:
         return {self.semi_action(m, e) for m in A for e in E}
 
     def preimage(self, coset: Coset, A: Sequence, universe: Window) -> PreimageResult:
-        halo = universe.halo_set
-        targets = set(A)
-        if not targets <= halo:
-            raise ScopeMismatchError("A must be contained in the window halo")
-        exact = {m for a in targets for m in self.exact_preimage_point(coset, a)}
-        bound = len(self.stabilizer) * len(targets)
-        if len(exact) > bound:
-            raise IntegrityError(
-                f"preimage size {len(exact)} exceeds |G0|*|A| = {bound}; "
-                "the coordinate system is broken"
-            )
-        certified = all(m in halo for m in exact)
-        pts = sorted((m for m in exact if m in halo), key=point_key)
-        return PreimageResult(tuple(pts), certified=certified)
+        inside, certified = fiber_in_window(
+            self, lambda a: self.exact_preimage_point(coset, a), set(A), universe.halo_set
+        )
+        return PreimageResult(tuple(sorted(inside, key=point_key)), certified)
 
     def undo_witness(self, m, coset: Coset, sample: Sequence[Coset]) -> GroupElement:
         """A representative g of the coset with (m |> coset) |> g' = m |> g g'
@@ -617,13 +621,13 @@ class SemidirectCellSpace(CellSpace):
     """Cell space over G0 x| H whose points are the elements of H.
 
     The left action is ``(g0,h) . m = h tau(g0)(m)``, the origin is e and the
-    coordinates are ``(e, m)``; the stabilizer of e is G0 x {e}, which
-    construction checks on a sampled ball.
+    coordinates are ``(e, m)``; the stabilizer of e is G0 x {e}, since each
+    tau(g0) fixes e.
 
-    With these coordinates the semi-action collapses to
+    With these coordinates the general semi-action collapses to
     ``m |> (g0,t)G0 = (e,m)(g0,t) . e = m t``, and the fiber of a under
-    ``(g0,t)G0`` is the single point ``a t^-1``; both are computed on H
-    payloads. They hold only for the coordinates ``(e, m)``: twisted
+    ``(g0,t)G0`` is the single point ``a t^-1``; ``key_maps`` computes both
+    on H payloads. They hold only for the coordinates ``(e, m)``: twisted
     coordinates ``(sigma(m), m)`` give ``m tau(sigma(m))(t)`` and up to |G0|
     points per fiber.
     """
@@ -635,15 +639,6 @@ class SemidirectCellSpace(CellSpace):
         stab = [sd.pair(g0, sd.H.identity()) for g0 in sd.G0.elements()]
         super().__init__(sd, sd.H.identity(), stab)
         self.name = name
-        self._check_stabilizer()
-
-    def _check_stabilizer(self) -> None:
-        eh = self.sd.H._identity()
-        for g in self.sd.ball(2):
-            if (self.left_action(g, self.m0) == self.m0) != (g.payload[1] == eh):
-                raise ConstructionError(
-                    f"stabiliser of the origin is not G0 x {{e}}: witness {g!r}"
-                )
 
     def left_action(self, g: GroupElement, m):
         g0, h = g.payload
@@ -652,10 +647,6 @@ class SemidirectCellSpace(CellSpace):
 
     def coord(self, m) -> GroupElement:
         return self.sd.pair(self.sd.G0.identity(), m)
-
-    def semi_action(self, m, coset: Coset):
-        H = self.sd.H
-        return GroupElement(H, H._mul(m.payload, coset.rep.payload[1]))
 
     def exact_preimage_point(self, coset: Coset, a) -> list:
         H = self.sd.H

@@ -298,10 +298,7 @@ HYPEROCT_MAX_RANK = 6
 def hyperoct_space(d: int) -> SemidirectCellSpace:
     """Signed permutations of d coordinates acting on the lattice Z^d; a
     discrete analogue of a point group extended by translations."""
-    if d > HYPEROCT_MAX_RANK:
-        raise ConstructionError(
-            f"hyperoct:{d} exceeds the largest supported rank {HYPEROCT_MAX_RANK}"
-        )
+    _check_rank(f"hyperoct:{d}", d, HYPEROCT_MAX_RANK, "HYPEROCT_MAX_RANK")
     g0 = SignedPermutationGroup(d)
     lattice = FreeAbelianGroup(d)
     tau = hyperoctahedral_tau(g0, lattice)

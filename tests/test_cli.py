@@ -54,7 +54,12 @@ def test_bad_space_exits_1(tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    "name, limit", [("zd:100000", "ZD_MAX_RANK = 12"), ("free:100000", "FREE_MAX_RANK = 8")]
+    "name, limit",
+    [
+        ("zd:100000", "ZD_MAX_RANK = 12"),
+        ("free:100000", "FREE_MAX_RANK = 8"),
+        ("hyperoct:100000", "HYPEROCT_MAX_RANK = 6"),
+    ],
 )
 def test_rank_above_the_limit_exits_1_at_once(tmp_path, capsys, name, limit):
     cfg = write(tmp_path, "c.json", {"space": {"name": name}})
@@ -405,6 +410,21 @@ FREE2_BALLS = {
 )
 def test_malformed_config_block_exits_1(tmp_path, capsys, command, cfg):
     _expect_config_error(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("measures", {**AFFINE5, "measure": {"kind": "point_mass"}}, "point_mass measure needs an at point"),
+        ("folner-search", {**ZD2_RATIOS, "E": []}, "E must be non-empty"),
+    ],
+    ids=["point-mass-without-at", "folner-search-empty-E"],
+)
+def test_missing_input_exits_1_with_a_typed_message(tmp_path, capsys, command, cfg, message):
+    # both once escaped as a KeyError or a bare ValueError from max()
+    path = write(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _ratio_columns(tmp_path, cfg):

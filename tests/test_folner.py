@@ -171,17 +171,19 @@ def test_doubling_fails_on_lattice_boxes():
 
 
 def element_ratios(space, F, coset, universe, set_id):
-    """The RatioRecord recounted on elements, from ``CellSpace.preimage``
-    and ``set(F)``."""
-    pre = space.preimage(coset, list(F), universe)
-    f_set, pre_set, n = set(F), set(pre.points), len(F)
+    """The RatioRecord recounted on elements, from ``exact_preimage_point``
+    and set arithmetic, without the window checks that ``ratios`` and
+    ``CellSpace.preimage`` share."""
+    f_set, halo, n = set(F), set(universe.halo), len(F)
+    exact = {m for a in f_set for m in space.exact_preimage_point(coset, a)}
+    pre_set = exact & halo
     return RatioRecord(
         set_id,
         coset.key,
         n,
         Fraction(len(f_set - pre_set), n),
         Fraction(len(pre_set - f_set), n),
-        pre.certified,
+        exact <= halo,
     )
 
 
@@ -250,25 +252,49 @@ def test_doubling_on_keys_matches_the_element_image(case):
         assert v.image_size == len(sp.semi_action_set(F, E))
 
 
+def _same_refusal(sp, F, coset, window, error, match):
+    """``ratios`` on keys and ``preimage`` on elements refuse F alike."""
+    with pytest.raises(error, match=match) as on_keys:
+        ratios(sp, F, coset, window)
+    with pytest.raises(error) as on_elements:
+        sp.preimage(coset, F, window)
+    assert str(on_keys.value) == str(on_elements.value)
+
+
 def test_ratios_refuse_a_set_outside_the_halo():
     sp = space_by_name("free:2")
     window = sp.ball_window(3, 3)
     F = [*window.core, sp.group.word([1, 1, 1, 1])]
-    with pytest.raises(ScopeMismatchError, match="halo"):
-        ratios(sp, F, sp.coset(sp.group.word([1])), window)
+    _same_refusal(sp, F, sp.coset(sp.group.word([1])), window, ScopeMismatchError, "halo")
 
 
 class WideFibers(GroupAsSpace):
-    """free:2 whose fiber map also returns the point itself: more than
-    |G0|*|A| = |A| keys for a set A."""
+    """free:2 whose fibers, on keys and on elements, also hold the point
+    itself: more than |G0|*|A| = |A| points for a set A."""
 
     def key_maps(self, coset):
         image, fiber = super().key_maps(coset)
         return image, lambda k: fiber(k) + [k]
 
+    def exact_preimage_point(self, coset, a):
+        return super().exact_preimage_point(coset, a) + [a]
+
 
 def test_ratios_refuse_fibers_above_the_stabiliser_bound():
     sp = WideFibers(FreeGroup(2))
     window = sp.ball_window(1, 2)
-    with pytest.raises(IntegrityError, match=r"preimage size 8 exceeds \|G0\|\*\|A\| = 5"):
-        ratios(sp, list(window.core), sp.coset(sp.group.word([1])), window)
+    _same_refusal(
+        sp,
+        list(window.core),
+        sp.coset(sp.group.word([1])),
+        window,
+        IntegrityError,
+        r"preimage size 8 exceeds \|G0\|\*\|A\| = 5",
+    )
+
+
+def test_folner_search_refuses_an_empty_expansion_set():
+    sp = space_by_name("free:2")
+    window = sp.ball_window(1, 2)
+    with pytest.raises(ConstructionError, match="E must be non-empty"):
+        folner_search(sp, ExpansionSet.of([]), Fraction(1, 2), ball_family(sp, [1]), window)

@@ -209,13 +209,17 @@ def test_orbit_ball_matches_the_group_ball(name):
         sp.orbit_balls([-1, 3])
 
 
-def _check_semi_action_override(sp, ms, reps):
-    for m in ms:
-        for g in reps:
-            c = sp.coset(g)
-            moved = sp.semi_action(m, c)
-            assert moved == CellSpace.semi_action(sp, m, c)
-            assert m in sp.exact_preimage_point(c, moved)
+def _check_payload_maps(sp, ms, reps):
+    # key_maps computes m t on H payloads; the general formula (e,m)(g0,t) . e
+    # is the reference
+    for g in reps:
+        c = sp.coset(g)
+        image, fiber = sp.key_maps(c)
+        for m in ms:
+            moved = CellSpace.semi_action(sp, m, c)
+            assert image(m.payload) == moved.payload
+            assert fiber(moved.payload) == [m.payload]
+            assert sp.exact_preimage_point(c, moved) == [m]
 
 
 def test_semidirect_semi_action_matches_the_general_formula_on_hyperoct():
@@ -225,7 +229,7 @@ def test_semidirect_semi_action_matches_the_general_formula_on_hyperoct():
     reps = [sd.pair(g0, t) for g0 in sd.G0.elements() for t in ts]
     ms = [sd.H.element(v) for v in itertools.product(range(-3, 4), repeat=2)]
     assert len(reps) == 8 * 25
-    _check_semi_action_override(sp, ms, reps)
+    _check_payload_maps(sp, ms, reps)
 
 
 def test_semidirect_semi_action_matches_the_general_formula_over_a_free_h():
@@ -239,7 +243,7 @@ def test_semidirect_semi_action_matches_the_general_formula_over_a_free_h():
     sd = sp.sd
     words = sd.H.ball(2)
     assert any(m * t != t * m for m in words for t in words)
-    _check_semi_action_override(sp, words, [sd.pair(g, t) for g in sd.G0.elements() for t in words])
+    _check_payload_maps(sp, words, [sd.pair(g, t) for g in sd.G0.elements() for t in words])
 
 
 @pytest.mark.parametrize(

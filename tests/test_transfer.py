@@ -126,11 +126,14 @@ def test_lattice_trivial_transfer():
 
 
 def test_hyperoct_space_stabilizer_and_axioms():
-    sp = hyperoct_space(2)
-    assert len(sp.stabilizer) == 8
-    w = sp.ball_window(2, 3)
-    rep = verify_axioms(sp, w, [sp.coset(g) for g in sp.group.ball(1)])
-    assert rep.passed, rep.failures()
+    # the stabilizer of the origin is G0 x {e}, of order 2^d d!; the
+    # stabilizer checks of verify_axioms confirm it on the ball of radius 2
+    for d, order in [(1, 2), (2, 8), (3, 48)]:
+        sp = hyperoct_space(d)
+        assert len(sp.stabilizer) == order
+        w = sp.ball_window(2, 3)
+        rep = verify_axioms(sp, w, [sp.coset(g) for g in sp.group.ball(1)])
+        assert rep.passed, (d, rep.failures())
 
 
 def _signed_permutations_by_hand(d):
