@@ -415,7 +415,11 @@ def test_malformed_config_block_exits_1(tmp_path, capsys, command, cfg):
 @pytest.mark.parametrize(
     "command, cfg, message",
     [
-        ("measures", {**AFFINE5, "measure": {"kind": "point_mass"}}, "point_mass measure needs an at point"),
+        (
+            "measures",
+            {**AFFINE5, "measure": {"kind": "point_mass"}},
+            "point_mass measure needs an at point",
+        ),
         ("folner-search", {**ZD2_RATIOS, "E": []}, "E must be non-empty"),
     ],
     ids=["point-mass-without-at", "folner-search-empty-E"],
