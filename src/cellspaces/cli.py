@@ -384,9 +384,7 @@ def _cmd_folner_search(space: CellSpace, cfg: dict):
     }
     if result.exhausted:
         payload["best"] = result.best_id
-        payload["best_max_ratio"] = (
-            _frac_str(result.best_max_ratio) if result.best_max_ratio is not None else None
-        )
+        payload["best_max_ratio"] = _frac_str(result.best_max_ratio)
     return payload, None
 
 

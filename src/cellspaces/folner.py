@@ -61,8 +61,7 @@ def ratios(
 
 @dataclass
 class FolnerSearchResult:
-    found: Optional[Sequence]
-    found_id: Optional[str]
+    found_id: Optional[str] = None
     # on exhaustion: the min-max candidate and its witness coset
     best_id: Optional[str] = None
     best_max_ratio: Optional[Fraction] = None
@@ -70,7 +69,7 @@ class FolnerSearchResult:
 
     @property
     def exhausted(self) -> bool:
-        return self.found is None
+        return self.found_id is None
 
 
 def folner_search(
@@ -86,12 +85,13 @@ def folner_search(
         raise ConstructionError("epsilon must be positive")
     if not E:
         raise ConstructionError("E must be non-empty")
-    result = FolnerSearchResult(found=None, found_id=None)
+    if not family:
+        raise ConstructionError("the family must be non-empty")
+    result = FolnerSearchResult()
     for set_id, F in family:
         recs = [ratios(space, F, e, universe, set_id) for e in E]
         worst = max(recs, key=lambda r: (r.ratio_out, r.coset_key))
         if worst.ratio_out < epsilon:
-            result.found = F
             result.found_id = set_id
             return result
         if result.best_max_ratio is None or worst.ratio_out < result.best_max_ratio:
@@ -190,6 +190,8 @@ def check_doubling(
     images = [image for image, _ in map(space.key_maps, E)]
     verdicts = []
     for set_id, F in family:
+        if not F:
+            raise ConstructionError("F must be non-empty")
         keys = set(map(point_key, F))
         image = {f(k) for f in images for k in keys}
         verdicts.append(DoublingVerdict(set_id, len(keys), len(image)))

@@ -110,16 +110,15 @@ def harem_matching(graph: BipartiteGraph, k: int = 2) -> Union[HaremMatching, Ha
 
 @dataclass(frozen=True)
 class TwoToOneMap:
-    """phi sends each matched right point to its left partner; the fibers are
-    split by enumeration order into the branches psi (lower) and psi' (upper),
-    so psi and psi' are injective with disjoint images covering the matched
-    right side. ``cosets[m]`` is the pair of the graph's edge labels (e, e')
-    with ``psi(m) = m |> e`` and ``psi'(m) = m |> e'``."""
+    """The 2-to-1 map of a (1,2)-matching, indexed by left vertex i.
 
-    psi: dict
-    psi_prime: dict
-    phi: dict
-    cosets: dict
+    ``branches[i] = (lo, hi)``, lo < hi, are the two right indices matched
+    to i: psi(left[i]) = right[lo] and psi'(left[i]) = right[hi] are
+    injective with disjoint images, and ``cosets[i] = (e, e')`` are the
+    graph's labels on those two edges."""
+
+    branches: tuple
+    cosets: tuple
 
 
 def two_to_one_from_matching(
@@ -127,26 +126,20 @@ def two_to_one_from_matching(
 ) -> TwoToOneMap:
     if matching.k != 2:
         raise ConstructionError("a 2-to-1 map needs a (1,2)-matching")
-    fibers: dict = {x: [] for x in range(len(graph.left))}
-    phi: dict = {}
+    fibers: list = [[] for _ in graph.left]
     for x, y in matching.pairs:
         fibers[x].append(y)
-        phi[graph.right[y]] = graph.left[x]
-    psi: dict = {}
-    psi_prime: dict = {}
-    cosets: dict = {}
-    for x, ys in fibers.items():
+    branches, cosets = [], []
+    for x, ys in enumerate(fibers):
         if len(ys) != 2:
             raise ConstructionError(
                 f"left vertex {graph.left[x]!r} matched {len(ys)} times, expected 2"
             )
         lo, hi = sorted(ys)
-        m = graph.left[x]
-        psi[m] = graph.right[lo]
-        psi_prime[m] = graph.right[hi]
         label = dict(zip(graph.adj[x], graph.cosets[x]))
-        cosets[m] = (label[lo], label[hi])
-    return TwoToOneMap(psi=psi, psi_prime=psi_prime, phi=phi, cosets=cosets)
+        branches.append((lo, hi))
+        cosets.append((label[lo], label[hi]))
+    return TwoToOneMap(branches=tuple(branches), cosets=tuple(cosets))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +166,22 @@ class Decomposition:
 def decomposition_from_map(
     space: CellSpace, ttm: TwoToOneMap, E: ExpansionSet, scope: Window
 ) -> Decomposition:
-    """A_e collects the m whose lower branch is realised by e (first such e in
-    canonical coset order, as the graph labelled the edge); B_e likewise for
-    the upper branch."""
+    """A_e collects the core points whose lower branch is realised by e (first
+    such e in canonical coset order, as the graph labelled the edge); B_e
+    likewise for the upper branch. Left vertex i is ``scope.core[i]``, as
+    ``build_graph`` numbers it."""
+    core = scope.core
+    if len(ttm.cosets) != len(core):
+        raise ConstructionError(
+            f"the 2-to-1 map has {len(ttm.cosets)} left vertices, the scope core {len(core)} points"
+        )
     A: dict = {e.key: [] for e in E}
     B: dict = {e.key: [] for e in E}
-    for m, labels in sorted(ttm.cosets.items(), key=lambda item: point_key(item[0])):
-        for store, e in zip((A, B), labels):
+    for i in sorted(range(len(core)), key=lambda i: point_key(core[i])):
+        for store, e in zip((A, B), ttm.cosets[i]):
             if e.key not in store:
-                raise ConstructionError(f"the coset {e!r} that moves {m!r} is not in E")
-            store[e.key].append(m)
+                raise ConstructionError(f"the coset {e!r} that moves {core[i]!r} is not in E")
+            store[e.key].append(core[i])
     return Decomposition(
         E=E,
         A={k: tuple(v) for k, v in A.items()},

@@ -226,11 +226,15 @@ def test_acceptance_05_tarski_pipeline():
     ok = isinstance(matching, HaremMatching)
     if ok:
         ttm = two_to_one_from_matching(graph, matching)
-        # exact fiber counts on every interior left vertex
-        fibers = {}
-        for y, x in ttm.phi.items():
-            fibers.setdefault(x, []).append(y)
-        ok = ok and all(len(fibers[m]) == 2 for m in graph.left)
+        # two matched right vertices per left vertex, no right vertex twice
+        pairs = set(matching.pairs)
+        matched = [y for branch in ttm.branches for y in branch]
+        ok = ok and len(ttm.branches) == len(graph.left)
+        ok = ok and all(
+            lo < hi and (i, lo) in pairs and (i, hi) in pairs
+            for i, (lo, hi) in enumerate(ttm.branches)
+        )
+        ok = ok and len(matched) == len(set(matched)) == 2 * len(graph.left)
         D = decomposition_from_map(sp, ttm, E, window)
         rep = verify_decomposition(sp, D)
         ok = ok and rep.passed

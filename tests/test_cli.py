@@ -421,11 +421,23 @@ def test_malformed_config_block_exits_1(tmp_path, capsys, command, cfg):
             "point_mass measure needs an at point",
         ),
         ("folner-search", {**ZD2_RATIOS, "E": []}, "E must be non-empty"),
+        (
+            "folner-search",
+            {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": []}},
+            "the family must be non-empty",
+        ),
+        ("doubling", {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": [0]}}, "F must be non-empty"),
     ],
-    ids=["point-mass-without-at", "folner-search-empty-E"],
+    ids=[
+        "point-mass-without-at",
+        "folner-search-empty-E",
+        "folner-search-empty-family",
+        "doubling-empty-set",
+    ],
 )
 def test_missing_input_exits_1_with_a_typed_message(tmp_path, capsys, command, cfg, message):
-    # both once escaped as a KeyError or a bare ValueError from max()
+    # the first two once escaped as a KeyError or a bare ValueError from max(),
+    # the last two ended in exit 0 with a verdict drawn from no set at all
     path = write(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", str(tmp_path / "o.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -298,3 +298,17 @@ def test_folner_search_refuses_an_empty_expansion_set():
     window = sp.ball_window(1, 2)
     with pytest.raises(ConstructionError, match="E must be non-empty"):
         folner_search(sp, ExpansionSet.of([]), Fraction(1, 2), ball_family(sp, [1]), window)
+
+
+def test_folner_search_refuses_an_empty_family():
+    # an exhausted search over no sets is no evidence of Folner failure
+    sp = space_by_name("zd:2")
+    window = sp.ball_window(1, 2)
+    with pytest.raises(ConstructionError, match="the family must be non-empty"):
+        folner_search(sp, unit_cosets(sp), Fraction(1, 2), [], window)
+
+
+def test_check_doubling_refuses_an_empty_set():
+    sp = space_by_name("zd:2")
+    with pytest.raises(ConstructionError, match="F must be non-empty"):
+        check_doubling(sp, unit_cosets(sp), box_family(sp, [1, 0]))

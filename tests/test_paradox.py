@@ -175,10 +175,36 @@ def test_key_maps_agree_with_the_element_methods(name):
 
 def test_two_to_one_map_fibers():
     sp, E, w, graph, ttm, D = run_pipeline()
-    for m in graph.left:
-        assert ttm.psi[m] != ttm.psi_prime[m]
-        assert ttm.phi[ttm.psi[m]] == m
-        assert ttm.phi[ttm.psi_prime[m]] == m
+    matching = harem_matching(graph, 2)
+    pairs = set(matching.pairs)
+    assert len(ttm.branches) == len(ttm.cosets) == len(graph.left)
+    for i, ((lo, hi), (e, e_prime)) in enumerate(zip(ttm.branches, ttm.cosets)):
+        assert lo < hi
+        assert (i, lo) in pairs and (i, hi) in pairs
+        # the labels are the element-level semi-action onto both branches
+        assert sp.semi_action(graph.left[i], e) == graph.right[lo]
+        assert sp.semi_action(graph.left[i], e_prime) == graph.right[hi]
+    # no right index twice: phi is a function, psi and psi' are injective
+    # with disjoint images
+    matched = [y for branch in ttm.branches for y in branch]
+    assert len(matched) == len(set(matched)) == 2 * len(graph.left)
+
+
+def test_decomposition_from_map_refuses_a_map_from_another_window():
+    sp, E, w, graph, ttm, D = run_pipeline(core_r=3, halo_r=4)
+    with pytest.raises(ConstructionError, match="2-to-1 map has 53 left vertices, the scope core 17"):
+        decomposition_from_map(sp, ttm, E, sp.ball_window(2, 4))
+
+
+def test_the_map_and_the_decomposition_keep_their_refusals():
+    sp, E, w, graph, ttm, D = run_pipeline()
+    with pytest.raises(ConstructionError, match=r"needs a \(1,2\)-matching"):
+        two_to_one_from_matching(graph, harem_matching(graph, 1))
+    pairs = harem_matching(graph, 2).pairs
+    with pytest.raises(ConstructionError, match="matched 1 times, expected 2"):
+        two_to_one_from_matching(graph, HaremMatching(2, tuple(p for p in pairs if p != pairs[0])))
+    with pytest.raises(ConstructionError, match="that moves .* is not in E"):
+        decomposition_from_map(sp, ttm, ExpansionSet.of(list(E)[:1]), w)
 
 
 def test_pipeline_decomposition_verifies():
