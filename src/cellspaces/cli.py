@@ -19,7 +19,8 @@ Config schema (JSON, one object)::
       "E": [[1, 0], [-1, 0]],               # coset representative payloads
       "epsilon": "1/10",                    # rationals are "p/q" strings
       "family": {"kind": "boxes", "sizes": [1, 2, 3]},  # or "balls"/"full";
-                                            # boxes need zd:d or hyperoct:d
+                                            # boxes need zd:d or hyperoct:d,
+                                            # balls zd:d, free:k or hyperoct:d
       "k": 2,                               # harem fiber size
       "graph": {"left": 3, "right": 6, "edges": [[0, 1], ...]},  # explicit harem input
       "measure": {"kind": "uniform"},       # or {"kind": "point_mass", "at": ...}
@@ -169,10 +170,13 @@ def _family(space: CellSpace, cfg: dict) -> list:
             _enumerable(box_size(lattice, 0, n), f"the box of size {n}")
         return [(f"box:{n}", box_points(lattice, 0, n)) for n in sizes]
     if kind == "balls":
+        P = space.point_group
+        if P is None:
+            raise ConfigError("balls family needs a point group (zd:d, free:k or hyperoct:d)")
         radii = [_natural(r, "a ball radius") for r in _list(fcfg.get("radii"), "radii")]
         for r in radii:
-            _enumerable(ball_size(space.point_group, r), f"the ball of radius {r}")
-        return list(zip([f"ball:{r}" for r in radii], space.orbit_balls(radii)))
+            _enumerable(ball_size(P, r), f"the ball of radius {r}")
+        return [(f"ball:{r}", P.ball(r)) for r in radii]
     raise ConfigError(f"unknown family kind {kind!r}")
 
 

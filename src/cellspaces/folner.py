@@ -187,6 +187,8 @@ def check_doubling(
 ) -> DoublingReport:
     """Per-set verdict |F |> E| >= 2|F| with exact cardinalities, counted
     on point keys."""
+    if not family:
+        raise ConstructionError("the family must be non-empty")
     images = [image for image, _ in map(space.key_maps, E)]
     verdicts = []
     for set_id, F in family:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConstructionError, IntegrityError, ScopeMismatchError
@@ -22,7 +21,6 @@ from .groups import (
     Group,
     GroupElement,
     SemidirectProduct,
-    bfs_layers,
 )
 
 
@@ -181,10 +179,10 @@ def window_size(P: Group, r: int) -> Optional[int]:
     return ball_size(P, r)
 
 
-def group_window(P: Group, core_radius: int, halo_radius: int, sort: bool) -> Window:
+def group_window(P: Group, core_radius: int, halo_radius: int) -> Window:
     """The window of a space whose points are the elements of the point
     group P: sup-norm boxes centred on the origin when P is Z^d, otherwise
-    P's word-metric balls, in ``Group.ball`` order or, with ``sort``, sorted.
+    P's word-metric balls in ``Group.ball`` order.
 
     A halo smaller than the core is refused before any point is enumerated.
     """
@@ -195,7 +193,7 @@ def group_window(P: Group, core_radius: int, halo_radius: int, sort: bool) -> Wi
         core, halo = (box_points(P, -r, r + 1) for r in radii)
         shape = "box"
     else:
-        core, halo = (tuple(sorted(P.ball(r)) if sort else P.ball(r)) for r in radii)
+        core, halo = (tuple(P.ball(r)) for r in radii)
         shape = "ball"
     return Window(core, halo, f"{shape} r={core_radius}, halo r={halo_radius}")
 
@@ -321,26 +319,6 @@ class CellSpace:
 
     def points(self) -> list:
         raise NotImplementedError(f"{self.name} has infinitely many points")
-
-    def orbit_balls(self, radii: Sequence[int]) -> list[tuple]:
-        """For each radius r, in the order given, the points g . m0 for g in
-        the group's ball of radius r, sorted.
-
-        They are the points r steps of ``m -> s . m`` reach from m0, s a
-        generator or its inverse, so the search walks points, not elements,
-        and one walk to the largest radius gives every ball as a prefix of
-        its layers.
-        """
-        if any(r < 0 for r in radii):
-            raise ValueError("radius must be non-negative")
-        if not radii:
-            return []
-        gens = [self.group.element(p) for p in self.group._symmetric_payloads()]
-        layers = bfs_layers(self.m0, lambda m: map(self.left_action, gens, repeat(m)), max(radii))
-        return [
-            tuple(sorted(itertools.chain.from_iterable(layers[: r + 1]), key=point_key))
-            for r in radii
-        ]
 
     def full_window(self) -> Window:
         """All points of a finite space, as both core and halo."""
@@ -613,8 +591,8 @@ class GroupAsSpace(CellSpace):
         return (lambda p: G._mul(p, g), lambda p: [G._mul(p, g_inv)])
 
     def ball_window(self, core_radius: int, halo_radius: int) -> Window:
-        """Boxes of Z^d, or balls of G in ``Group.ball`` order."""
-        return group_window(self.point_group, core_radius, halo_radius, sort=False)
+        """``group_window`` on the point group: boxes of Z^d, or balls."""
+        return group_window(self.point_group, core_radius, halo_radius)
 
 
 class SemidirectCellSpace(CellSpace):
@@ -658,5 +636,5 @@ class SemidirectCellSpace(CellSpace):
         return (lambda p: H._mul(p, t), lambda p: [H._mul(p, t_inv)])
 
     def ball_window(self, core_radius: int, halo_radius: int) -> Window:
-        """Boxes of Z^d, or balls of H sorted by key."""
-        return group_window(self.point_group, core_radius, halo_radius, sort=True)
+        """``group_window`` on the point group: boxes of Z^d, or balls."""
+        return group_window(self.point_group, core_radius, halo_radius)

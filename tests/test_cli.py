@@ -319,10 +319,12 @@ def test_decomposition_file_round_trip(tmp_path, name, make):
     assert checks == [{"name": c.name, "ok": c.ok, "witness": c.witness} for c in report.checks]
 
 
-def _expect_config_error(tmp_path, capsys, command, cfg):
+def _expect_config_error(tmp_path, capsys, command, cfg) -> str:
     path = write(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", str(tmp_path / "o.json")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
 
 
 ZD2_RATIOS = {
@@ -333,6 +335,7 @@ ZD2_RATIOS = {
 }
 AFFINE5 = {"space": {"name": "affine:5"}}
 BOXES = {"kind": "boxes", "sizes": [1, 2]}
+BALLS = {"kind": "balls", "radii": [1]}
 TRANSLATIONS = [[0, 0], [1, 0], [0, -1], [2, -1]]
 HYPEROCT2_BOXES = {
     "space": {"name": "hyperoct:2"},
@@ -345,6 +348,11 @@ FREE2_BALLS = {
     "window": {"core_radius": 1, "halo_radius": 2},
     "E": [[1]],
     "family": {"kind": "balls", "radii": [1]},
+}
+
+# the malformed configs whose whole stderr is pinned, by case id
+EXACT_CONFIG_ERRORS = {
+    "balls-affine5": "balls family needs a point group (zd:d, free:k or hyperoct:d)",
 }
 
 
@@ -372,6 +380,7 @@ FREE2_BALLS = {
         ("ratios", {**HYPEROCT2_BOXES, "window": {"core_radius": 3, "halo_radius": 2}}),
         ("ratios", {k: v for k, v in ZD2_RATIOS.items() if k != "family"}),
         ("ratios", {**AFFINE5, "E": [[1, 2, 3, 4, 0]], "family": BOXES}),
+        ("ratios", {**AFFINE5, "E": [[1, 2, 3, 4, 0]], "family": BALLS}),
         ("ratios", {**FREE2_BALLS, "family": BOXES}),
         ("measures", {**AFFINE5, "measure": {"kind": "weights", "weights": [[0]]}}),
         ("measures", {**AFFINE5, "measure": {"kind": "gaussian"}}),
@@ -402,14 +411,17 @@ FREE2_BALLS = {
         "halo-below-core-hyperoct2",
         "no-family",
         "boxes-affine5",
+        "balls-affine5",
         "boxes-free2",
         "weights-not-a-pair",
         "unknown-measure-kind",
         "decomposition-file-unreadable",
     ],
 )
-def test_malformed_config_block_exits_1(tmp_path, capsys, command, cfg):
-    _expect_config_error(tmp_path, capsys, command, cfg)
+def test_malformed_config_block_exits_1(request, tmp_path, capsys, command, cfg):
+    err = _expect_config_error(tmp_path, capsys, command, cfg)
+    message = EXACT_CONFIG_ERRORS.get(request.node.callspec.id)
+    assert message is None or err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -427,17 +439,23 @@ def test_malformed_config_block_exits_1(tmp_path, capsys, command, cfg):
             "the family must be non-empty",
         ),
         ("doubling", {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": [0]}}, "F must be non-empty"),
+        (
+            "doubling",
+            {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": []}},
+            "the family must be non-empty",
+        ),
     ],
     ids=[
         "point-mass-without-at",
         "folner-search-empty-E",
         "folner-search-empty-family",
         "doubling-empty-set",
+        "doubling-empty-family",
     ],
 )
 def test_missing_input_exits_1_with_a_typed_message(tmp_path, capsys, command, cfg, message):
     # the first two once escaped as a KeyError or a bare ValueError from max(),
-    # the last two ended in exit 0 with a verdict drawn from no set at all
+    # the last three ended in exit 0 with a verdict drawn from no set at all
     path = write(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", str(tmp_path / "o.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -201,7 +201,7 @@ def _infinite_case(name, core, halo):
     sp = space_by_name(name)
     window = sp.ball_window(core, halo)
     rng = random.Random(len(window.core))
-    family = list(zip(["ball:0", "ball:1", "ball:2", "ball:3"], sp.orbit_balls([0, 1, 2, 3])))
+    family = [(f"ball:{r}", sp.point_group.ball(r)) for r in range(4)]
     family += [(f"sample:{i}", rng.sample(window.core, len(window.core) // 3)) for i in range(3)]
     E = ExpansionSet.of(sp.coset(g) for g in sp.group.ball(2))
     return sp, window, family, E
@@ -312,3 +312,10 @@ def test_check_doubling_refuses_an_empty_set():
     sp = space_by_name("zd:2")
     with pytest.raises(ConstructionError, match="F must be non-empty"):
         check_doubling(sp, unit_cosets(sp), box_family(sp, [1, 0]))
+
+
+def test_check_doubling_refuses_an_empty_family():
+    # a verdict over no sets would pass vacuously
+    sp = space_by_name("zd:2")
+    with pytest.raises(ConstructionError, match="the family must be non-empty"):
+        check_doubling(sp, unit_cosets(sp), [])

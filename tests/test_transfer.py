@@ -177,14 +177,16 @@ def test_semidirect_product_refuses_a_finite_h(gens):
         SemidirectProduct(g0, H, tau)
 
 
-def test_semidirect_space_over_a_free_h_uses_sorted_balls():
-    # G0 = Z/2 swapping the letters of F_2
+def test_semidirect_space_over_a_free_h_uses_group_ball_order():
+    # G0 = Z/2 swapping the letters of F_2; the window is H's balls in
+    # ``Group.ball`` order: by word length, then by payload
     g0 = PermutationGroup(2, [(1, 0)])
     tau = {((0, 1), 0): (1,), ((0, 1), 1): (2,), ((1, 0), 0): (2,), ((1, 0), 1): (1,)}
     sp = SemidirectCellSpace(SemidirectProduct(g0, FreeGroup(2), tau), name="free-swap")
     w = sp.ball_window(1, 2)
-    assert [m.payload for m in w.core] == sorted(free2_words(1))
-    assert [m.payload for m in w.halo] == sorted(free2_words(2))
+    ball_order = lambda words: sorted(words, key=lambda word: (len(word), word))
+    assert [m.payload for m in w.core] == ball_order(free2_words(1))
+    assert [m.payload for m in w.halo] == ball_order(free2_words(2))
     rep = verify_axioms(sp, w, [sp.coset(g) for g in sp.group.ball(1)])
     assert rep.passed, rep.failures()
 
