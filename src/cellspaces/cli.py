@@ -8,7 +8,8 @@ enumerations are sorted, and rationals are serialized exactly as "p/q".
 Exit codes: 0 = pass/complete, 1 = usage or config error, and 2 exactly when a
 property violation's witness is written: to ``<out>.witness.json``, or to
 stdout after the report when there is no ``--out``. A window, family set or
-graph side above ``MAX_ENUMERATED_POINTS`` is a config error.
+graph side above ``groups.MAX_ENUMERATED_POINTS`` is a config error, refused at
+once from its closed-form size, or by the ball walk's own count where none exists.
 
 Config schema (JSON, one object)::
 
@@ -47,7 +48,7 @@ from typing import Optional, Sequence
 from . import codec
 from .errors import CellSpacesError
 from .folner import ExpansionSet, check_doubling, folner_search, ratios
-from .groups import FreeAbelianGroup
+from .groups import FreeAbelianGroup, check_enumerable
 from .matching import HaremMatching, solve_harem
 from .measures import FAMeasure, check_semi_invariance
 from .paradox import (
@@ -59,17 +60,7 @@ from .paradox import (
     two_to_one_from_matching,
     verify_decomposition,
 )
-from .spaces import (
-    SIZE_BOUND,
-    CellSpace,
-    CheckReport,
-    Window,
-    ball_size,
-    box_points,
-    box_size,
-    verify_axioms,
-    window_size,
-)
+from .spaces import CellSpace, CheckReport, Window, box_points, verify_axioms, window_size
 from .transfer import (
     affine_dilations,
     affine_translations,
@@ -115,23 +106,6 @@ def _natural(value, what: str) -> int:
     return value
 
 
-# the most points a config may ask one window, family set or graph side to
-# enumerate: the free:2 ball of radius 12, the halo of a core radius 10 run.
-# Like HYPEROCT_MAX_RANK, a limit, not an option.
-MAX_ENUMERATED_POINTS = 1_062_881
-
-
-def _enumerable(size: Optional[int], what: str, unit: str = "points") -> None:
-    """Refuse ``what`` when its closed-form size exceeds the limit. A None
-    size, of a point group without a closed form, is not checked; the
-    named spaces that give one are finite."""
-    if size is not None and size > MAX_ENUMERATED_POINTS:
-        count = size if size <= SIZE_BOUND else f"more than {SIZE_BOUND}"
-        raise ConfigError(
-            f"{what} has {count} {unit}, above MAX_ENUMERATED_POINTS = {MAX_ENUMERATED_POINTS}"
-        )
-
-
 def _window(space: CellSpace, cfg: dict) -> Window:
     wcfg = _block(cfg, "window")
     if wcfg is None:
@@ -143,7 +117,7 @@ def _window(space: CellSpace, cfg: dict) -> Window:
     core_r = _natural(wcfg.get("core_radius"), "core_radius")
     halo_r = _natural(wcfg.get("halo_radius"), "halo_radius")
     radius = max(core_r, halo_r)
-    _enumerable(window_size(space.point_group, radius), f"the window of radius {radius}")
+    check_enumerable(window_size(space.point_group, radius), f"the window of radius {radius}")
     return space.ball_window(core_r, halo_r)
 
 
@@ -167,17 +141,19 @@ def _family(space: CellSpace, cfg: dict) -> list:
             raise ConfigError("boxes family needs a lattice point group (zd:d or hyperoct:d)")
         sizes = [_natural(n, "a box size") for n in _list(fcfg.get("sizes"), "sizes")]
         for n in sizes:
-            _enumerable(box_size(lattice, 0, n), f"the box of size {n}")
-        return [(f"box:{n}", box_points(lattice, 0, n)) for n in sizes]
-    if kind == "balls":
+            check_enumerable(lattice.box_size(0, n), f"the box of size {n}")
+        family = [(f"box:{n}", box_points(lattice, 0, n)) for n in sizes]
+    elif kind == "balls":
         P = space.point_group
         if P is None:
             raise ConfigError("balls family needs a point group (zd:d, free:k or hyperoct:d)")
         radii = [_natural(r, "a ball radius") for r in _list(fcfg.get("radii"), "radii")]
-        for r in radii:
-            _enumerable(ball_size(P, r), f"the ball of radius {r}")
-        return [(f"ball:{r}", P.ball(r)) for r in radii]
-    raise ConfigError(f"unknown family kind {kind!r}")
+        family = [(f"ball:{r}", ball) for r, ball in zip(radii, P.balls(radii))]
+    else:
+        raise ConfigError(f"unknown family kind {kind!r}")
+    if not family:
+        raise ConfigError("the family must be non-empty")
+    return family
 
 
 def _measure(space: CellSpace, universe: Window, cfg: dict) -> FAMeasure:
@@ -358,6 +334,8 @@ RATIO_FIELDS = ["space", "set_id", "size", "coset", "ratio_out", "ratio_in", "ce
 def _cmd_ratios(space: CellSpace, cfg: dict):
     window = _window(space, cfg)
     E = _expansion(space, cfg)
+    if not E:
+        raise ConfigError("E must be non-empty")
     family = _family(space, cfg)
     recs = [ratios(space, F, e, window, set_id) for set_id, F in family for e in E]
     rows = [
@@ -408,7 +386,7 @@ def _graph_block(g: dict) -> tuple[int, int, list]:
     """(left size, right size, sorted adjacency) of an explicit graph block."""
     nx = _natural(g.get("left"), "graph size left")
     ny = _natural(g.get("right"), "graph size right")
-    _enumerable(max(nx, ny), "a graph side", "vertices")
+    check_enumerable(max(nx, ny), "a graph side", "vertices")
     adj: list[set] = [set() for _ in range(nx)]
     for edge in _list(g.get("edges"), "graph edges"):
         if not (

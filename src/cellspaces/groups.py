@@ -58,6 +58,30 @@ class GroupElement:
         return f"<{self.group.backend} {self.group.describe_element(self.payload)}>"
 
 
+# the most points one window, family set or graph side may enumerate: the
+# free:2 ball of radius 12, the halo of a core radius 10 run. Like
+# HYPEROCT_MAX_RANK, a limit, not an option.
+MAX_ENUMERATED_POINTS = 1_062_881
+
+# the closed-form sizes are exact up to SIZE_BOUND and read SIZE_BOUND + 1 above it
+SIZE_BOUND = 10**18
+
+
+def _power(base: int, exp: int) -> int:
+    """``base ** exp``, read as SIZE_BOUND + 1 above SIZE_BOUND."""
+    # 0 and 1 keep their powers, and any larger base passes SIZE_BOUND by 2**60
+    return min(base ** min(exp, 60), SIZE_BOUND + 1)
+
+
+def check_enumerable(size: Optional[int], what: str, unit: str = "points") -> None:
+    """Refuse ``what`` when its size, None where it is unknown, exceeds the limit."""
+    if size is not None and size > MAX_ENUMERATED_POINTS:
+        count = size if size <= SIZE_BOUND else f"more than {SIZE_BOUND}"
+        raise ConstructionError(
+            f"{what} has {count} {unit}, above MAX_ENUMERATED_POINTS = {MAX_ENUMERATED_POINTS}"
+        )
+
+
 def bfs_layers(
     start: Hashable, step: Callable[[Hashable], Iterable], radius: Optional[int] = None
 ) -> list[list]:
@@ -65,7 +89,8 @@ def bfs_layers(
     reached after each further step, each layer in discovery order.
 
     ``step(node)`` gives a node's neighbours. The walk stops after ``radius``
-    steps, or, when ``radius`` is None, once a step reaches nothing new.
+    steps, or, when ``radius`` is None, once a step reaches nothing new. It
+    raises ``ConstructionError`` at the first node past MAX_ENUMERATED_POINTS.
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be non-negative")
@@ -78,6 +103,10 @@ def bfs_layers(
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
+                    if len(seen) > MAX_ENUMERATED_POINTS:
+                        raise ConstructionError(
+                            f"the walk passed MAX_ENUMERATED_POINTS = {MAX_ENUMERATED_POINTS}"
+                        )
         if not nxt:
             break
         layers.append(nxt)
@@ -144,11 +173,32 @@ class Group:
         Breadth-first with lexicographic tie-breaking, so the enumeration
         order is reproducible.
         """
-        return [GroupElement(self, p) for layer in self._ball_layers(r) for p in sorted(layer)]
+        return self.balls([r])[0]
+
+    def balls(self, radii: Sequence[int]) -> list[list[GroupElement]]:
+        """``ball(r)`` for each r of ``radii``, cut from one walk to the largest:
+        its first r + 1 sorted layers, or the whole of a finite group past its
+        diameter. Above MAX_ENUMERATED_POINTS it is refused from ``ball_size``
+        before the walk, or, where that is None, by the walk's own count."""
+        if not radii:
+            return []
+        if min(radii) < 0:
+            raise ValueError("radius must be non-negative")
+        top = max(radii)
+        check_enumerable(self.ball_size(top), f"the ball of radius {top}")
+        points, ends = [], []
+        for layer in self._ball_layers(top):
+            points += [GroupElement(self, p) for p in sorted(layer)]
+            ends.append(len(points))
+        return [points[: ends[min(r, len(ends) - 1)]] for r in radii]
+
+    def ball_size(self, r: int) -> Optional[int]:
+        """The number of elements of ``ball(r)``, or None without a closed form."""
+        return None
 
     def _ball_layers(self, r: int) -> list[list[Payload]]:
         """The payloads at each distance 0..r from the identity, each layer
-        in any order: the walk of ``ball``, by products with every
+        in any order: the walk of ``balls``, by products with every
         symmetrized generator. A negative radius is a ``ValueError``."""
         gens = self._symmetric_payloads()
         return bfs_layers(self._identity(), lambda p: map(self._mul, repeat(p), gens), r)
@@ -294,6 +344,21 @@ class FreeAbelianGroup(Group):
     def _inv(self, a: Payload) -> Payload:
         return tuple(map(operator.neg, a))
 
+    def ball_size(self, r: int) -> int:
+        # the L1 ball; the term of i counts the points with i non-zero
+        # coordinates, 2^i C(d, i) C(r, i)
+        size = term = 1
+        for i in range(min(self.d, r)):
+            term = term * 2 * (self.d - i) * (r - i) // (i + 1) ** 2
+            size += term
+            if size > SIZE_BOUND:
+                return SIZE_BOUND + 1
+        return size
+
+    def box_size(self, lo: int, hi: int) -> int:
+        """The number of points whose every coordinate lies in ``range(lo, hi)``."""
+        return _power(max(hi - lo, 0), self.d)
+
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
     """Cancel adjacent inverse pairs; the result is fully reduced."""
@@ -352,9 +417,9 @@ class FreeGroup(Group):
     def _ball_layers(self, r: int) -> list[list[Payload]]:
         # the words one step out are the one-letter extensions that do not
         # cancel the last letter; each is reached once, so unlike
-        # bfs_layers the walk keeps no set of the words it has seen. With
-        # the letters sorted, each layer comes out sorted, which ball's
-        # sort then only confirms
+        # bfs_layers the walk keeps no set of the words it has seen, and
+        # leaves the limit to ball_size. With the letters sorted, each layer
+        # comes out sorted, which the sort in balls then only confirms
         if r < 0:
             raise ValueError("radius must be non-negative")
         letters = sorted(self._generator_payloads())
@@ -363,6 +428,12 @@ class FreeGroup(Group):
         for _ in range(r - 1):
             layers.append([p + t for p in layers[-1] for t in grow[p[-1]]])
         return layers
+
+    def ball_size(self, r: int) -> int:
+        if self.k == 1:
+            return min(2 * r + 1, SIZE_BOUND + 1)
+        grown = _power(2 * self.k - 1, r)
+        return min(1 + 2 * self.k * (grown - 1) // (2 * self.k - 2), SIZE_BOUND + 1)
 
     def _hash_payload(self, a: Payload) -> int:
         # CPython hashes -1 like -2; moving each negative letter x to x - 1

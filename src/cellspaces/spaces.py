@@ -127,73 +127,28 @@ def box_points(group: FreeAbelianGroup, lo: int, hi: int) -> tuple:
     return tuple(group.element(v) for v in itertools.product(range(lo, hi), repeat=group.d))
 
 
-# the closed-form sizes below are exact up to SIZE_BOUND and read SIZE_BOUND + 1
-# above it, so a radius of any size is counted in a few dozen steps
-SIZE_BOUND = 10**18
-
-
-def _power(base: int, exp: int) -> int:
-    """``base ** exp``, read as SIZE_BOUND + 1 above SIZE_BOUND."""
-    if base <= 1:
-        return base if exp else 1
-    out = 1
-    for _ in range(exp):
-        out *= base
-        if out > SIZE_BOUND:
-            return SIZE_BOUND + 1
-    return out
-
-
-def box_size(group: FreeAbelianGroup, lo: int, hi: int) -> int:
-    """The number of points of ``box_points(group, lo, hi)``."""
-    return _power(max(hi - lo, 0), group.d)
-
-
-def ball_size(P: Group, r: int) -> Optional[int]:
-    """The number of elements of P's ball of radius r when P is F_k or Z^d,
-    where it is the L1 ball; None for any other group."""
-    if isinstance(P, FreeGroup):
-        k = P.k
-        if k == 1:
-            return min(2 * r + 1, SIZE_BOUND + 1)
-        grown = _power(2 * k - 1, r)
-        return min(1 + 2 * k * (grown - 1) // (2 * k - 2), SIZE_BOUND + 1)
-    if isinstance(P, FreeAbelianGroup):
-        # the term of i counts the points with i non-zero coordinates,
-        # 2^i C(d, i) C(r, i)
-        size = term = 1
-        for i in range(min(P.d, r)):
-            term = term * 2 * (P.d - i) * (r - i) // (i + 1) ** 2
-            size += term
-            if size > SIZE_BOUND:
-                return SIZE_BOUND + 1
-        return size
-    return None
-
-
 def window_size(P: Group, r: int) -> Optional[int]:
     """The number of points ``group_window`` enumerates for radius r, or None
-    when P is neither Z^d nor F_k."""
+    when P has no closed form for its balls."""
     if isinstance(P, FreeAbelianGroup):
-        return box_size(P, -r, r + 1)
-    return ball_size(P, r)
+        return P.box_size(-r, r + 1)
+    return P.ball_size(r)
 
 
 def group_window(P: Group, core_radius: int, halo_radius: int) -> Window:
     """The window of a space whose points are the elements of the point
     group P: sup-norm boxes centred on the origin when P is Z^d, otherwise
-    P's word-metric balls in ``Group.ball`` order.
+    P's word-metric balls in ``Group.ball`` order, both from one walk.
 
     A halo smaller than the core is refused before any point is enumerated.
     """
     if halo_radius < core_radius:
         raise ConstructionError("halo radius must be at least the core radius")
-    radii = (core_radius, halo_radius)
     if isinstance(P, FreeAbelianGroup):
-        core, halo = (box_points(P, -r, r + 1) for r in radii)
+        core, halo = (box_points(P, -r, r + 1) for r in (core_radius, halo_radius))
         shape = "box"
     else:
-        core, halo = (tuple(P.ball(r)) for r in radii)
+        core, halo = map(tuple, P.balls((core_radius, halo_radius)))
         shape = "ball"
     return Window(core, halo, f"{shape} r={core_radius}, halo r={halo_radius}")
 

@@ -306,7 +306,7 @@ def hyperoct_space(d: int) -> SemidirectCellSpace:
 
 
 # the largest d whose radius-1 box, 3^d points, a window may enumerate
-# (MAX_ENUMERATED_POINTS in the CLI), and the letters a..h that name the
+# (groups.MAX_ENUMERATED_POINTS), and the letters a..h that name the
 # generators of a free group
 ZD_MAX_RANK = 12
 FREE_MAX_RANK = 8

@@ -20,9 +20,9 @@ from cellspaces import (
     verify_decomposition,
 )
 from cellspaces.cli import COMMANDS as cli_commands
-from cellspaces.cli import MAX_ENUMERATED_POINTS, main
 from cellspaces.cli import _json as report_text
-from cellspaces.spaces import ball_size
+from cellspaces.cli import main
+from cellspaces.groups import MAX_ENUMERATED_POINTS
 
 
 def write(tmp_path, name, obj):
@@ -444,6 +444,20 @@ def test_malformed_config_block_exits_1(request, tmp_path, capsys, command, cfg)
             {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": []}},
             "the family must be non-empty",
         ),
+        (
+            "ratios",
+            {
+                **ZD2_RATIOS,
+                "window": {"core_radius": 3, "halo_radius": 4},
+                "family": {"kind": "boxes", "sizes": []},
+            },
+            "the family must be non-empty",
+        ),
+        (
+            "ratios",
+            {**ZD2_RATIOS, "window": {"core_radius": 3, "halo_radius": 4}, "E": []},
+            "E must be non-empty",
+        ),
     ],
     ids=[
         "point-mass-without-at",
@@ -451,11 +465,14 @@ def test_malformed_config_block_exits_1(request, tmp_path, capsys, command, cfg)
         "folner-search-empty-family",
         "doubling-empty-set",
         "doubling-empty-family",
+        "ratios-empty-family",
+        "ratios-empty-E",
     ],
 )
 def test_missing_input_exits_1_with_a_typed_message(tmp_path, capsys, command, cfg, message):
     # the first two once escaped as a KeyError or a bare ValueError from max(),
-    # the last three ended in exit 0 with a verdict drawn from no set at all
+    # the next three ended in exit 0 with a verdict drawn from no set at all,
+    # and the last two in exit 0 with no records
     path = write(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", str(tmp_path / "o.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -518,30 +535,67 @@ def test_deeply_nested_payload_exits_1(tmp_path, depth):
     assert run(["ratios", "--config", str(path)]) == 1
 
 
+_ABOVE_THE_LIMIT = f", above MAX_ENUMERATED_POINTS = {MAX_ENUMERATED_POINTS}"
+_HUGE = f"more than {10**18} points"
+
+
 @pytest.mark.parametrize(
-    "command, cfg",
+    "command, cfg, message",
     [
-        ("axioms", {**FREE2_BALLS, "window": {"core_radius": 25, "halo_radius": 25}}),
-        ("axioms", {**FREE2_BALLS, "window": {"core_radius": 10**40, "halo_radius": 1}}),
-        ("ratios", {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": [2, 10**6]}}),
-        ("ratios", {**HYPEROCT2_BOXES, "family": {"kind": "balls", "radii": [10**30]}}),
-        ("harem", {"graph": {"left": 10**12, "right": 2, "edges": []}}),
+        (
+            "axioms",
+            {**FREE2_BALLS, "window": {"core_radius": 25, "halo_radius": 25}},
+            "the window of radius 25 has 1694577218885 points",
+        ),
+        (
+            "axioms",
+            {**FREE2_BALLS, "window": {"core_radius": 10**40, "halo_radius": 1}},
+            f"the window of radius {10**40} has {_HUGE}",
+        ),
+        (
+            "ratios",
+            {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": [2, 10**6]}},
+            "the box of size 1000000 has 1000000000000 points",
+        ),
+        (
+            "ratios",
+            {**HYPEROCT2_BOXES, "family": {"kind": "balls", "radii": [10**30]}},
+            f"the ball of radius {10**30} has {_HUGE}",
+        ),
+        (
+            "harem",
+            {"graph": {"left": 10**12, "right": 2, "edges": []}},
+            "a graph side has 1000000000000 vertices",
+        ),
+        (
+            "ratios",
+            {**FREE2_BALLS, "family": {"kind": "balls", "radii": [2, 13, 10**30, 1]}},
+            f"the ball of radius {10**30} has {_HUGE}",
+        ),
     ],
-    ids=["free2-core-25", "free2-core-huge", "zd2-box", "hyperoct2-ball", "graph-side"],
+    ids=[
+        "free2-core-25",
+        "free2-core-huge",
+        "zd2-box",
+        "hyperoct2-ball",
+        "graph-side",
+        "free2-balls-largest",
+    ],
 )
-def test_oversized_enumeration_exits_1_at_once(tmp_path, capsys, command, cfg):
+def test_oversized_enumeration_exits_1_at_once(tmp_path, capsys, command, cfg, message):
     """A window, family set or graph side above the limit is refused from
-    its closed-form size, before anything is enumerated."""
+    its closed-form size, before anything is enumerated; a balls family is
+    refused by its largest radius."""
     path = write(tmp_path, "c.json", cfg)
     start = time.perf_counter()
     assert run([command, "--config", path]) == 1
     assert time.perf_counter() - start < 1
-    assert "MAX_ENUMERATED_POINTS" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}{_ABOVE_THE_LIMIT}\n"
 
 
 def test_enumeration_limit_admits_the_free2_radius_12_halo():
     # the halo of a free:2 run at core radius 10 is the largest window allowed
-    assert ball_size(space_by_name("free:2").group, 12) == MAX_ENUMERATED_POINTS
+    assert space_by_name("free:2").group.ball_size(12) == MAX_ENUMERATED_POINTS
 
 
 # quotes, backslashes, control characters and non-ASCII text

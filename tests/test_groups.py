@@ -14,6 +14,7 @@ from cellspaces import (
     SignedPermutationGroup,
     hyperoctahedral_tau,
     reduce_word,
+    space_by_name,
 )
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=20)
@@ -43,6 +44,30 @@ def test_free_group_ball_sizes():
     g = FreeGroup(2)
     for r in range(5):
         assert len(g.ball(r)) == 2 * 3**r - 1
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["free:1", "free:2", "free:3", "zd:1", "zd:2", "zd:3", "signedperm:3", "affine:5", "hyperoct:2"],
+)
+def test_balls_cut_every_ball_from_one_walk(name):
+    kind, _, n = name.partition(":")
+    if kind == "signedperm":
+        group = SignedPermutationGroup(int(n))
+    else:
+        group = space_by_name(name).group
+    # unsorted and repeated radii, a radius past the diameter of the finite
+    # groups (signedperm:3 and affine:5 are whole by radius 9), and none
+    far = 12 if group.is_finite else 5
+    for radii in ([0], [3, 1, 3, 0, 2], [2, 2], [far, 4], []):
+        balls = group.balls(radii)
+        assert [[g.payload for g in b] for b in balls] == [
+            [g.payload for g in group.ball(r)] for r in radii
+        ]
+    if group.is_finite:
+        assert sorted(group.balls([12])[0]) == group.elements()
+    with pytest.raises(ValueError):
+        group.balls([-1, 3])
 
 
 def test_free_group_rejects_bad_letters():

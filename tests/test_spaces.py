@@ -1,8 +1,10 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+import cellspaces.groups as groups
 from cellspaces import (
     CellSpace,
     ConstructionError,
@@ -17,10 +19,11 @@ from cellspaces import (
     Window,
     affine_space,
     check_semi_invariance,
+    hyperoct_space,
     space_by_name,
     verify_axioms,
 )
-from cellspaces.spaces import ball_size, box_points, box_size, window_size
+from cellspaces.spaces import box_points, window_size
 
 
 def test_coset_equality_ignores_representative():
@@ -73,11 +76,38 @@ def test_preimage_certification_depends_on_halo():
 
 def test_window_refuses_a_halo_below_the_core_before_enumerating():
     class NoBalls(FreeGroup):
-        def ball(self, r):
-            raise AssertionError("a ball was built")
+        def _ball_layers(self, r):
+            raise AssertionError("a ball was walked")
 
     with pytest.raises(ConstructionError, match="halo radius"):
         GroupAsSpace(NoBalls(2)).ball_window(10**6, 2)
+
+
+def test_walk_without_a_closed_form_stops_at_the_limit(monkeypatch):
+    # the point group of GroupAsSpace(G) for G of hyperoct:2 has no closed
+    # form for its balls, so the walk counts its own points: its ball of
+    # radius 4 has 128 of them
+    monkeypatch.setattr(groups, "MAX_ENUMERATED_POINTS", 100)
+    sp = GroupAsSpace(hyperoct_space(2).group)
+    G = sp.point_group
+    reached = set()
+
+    def mul(a, b):
+        q = type(G)._mul(G, a, b)
+        reached.add(q)
+        return q
+
+    monkeypatch.setattr(G, "_mul", mul)
+    with pytest.raises(ConstructionError, match="MAX_ENUMERATED_POINTS = 100"):
+        sp.ball_window(4, 4)
+    assert len(reached | {G._identity()}) <= 101
+
+
+def test_free2_window_above_the_limit_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError, match="MAX_ENUMERATED_POINTS"):
+        space_by_name("free:2").ball_window(25, 25)
+    assert time.perf_counter() - start < 1
 
 
 def test_preimage_size_respects_stabilizer_bound():
@@ -249,7 +279,7 @@ def test_closed_form_sizes_count_the_enumerations(name):
     sp = space_by_name(name)
     P = sp.point_group
     for r in range(6):
-        assert ball_size(P, r) == len(P.ball(r))
+        assert P.ball_size(r) == len(P.ball(r))
         assert window_size(P, r) == len(sp.ball_window(r, r).core)
         if isinstance(P, FreeAbelianGroup):
-            assert box_size(P, 0, r) == len(box_points(P, 0, r))
+            assert P.box_size(0, r) == len(box_points(P, 0, r))
