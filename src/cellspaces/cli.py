@@ -8,8 +8,9 @@ enumerations are sorted, and rationals are serialized exactly as "p/q".
 Exit codes: 0 = pass/complete, 1 = usage or config error, and 2 exactly when a
 property violation's witness is written: to ``<out>.witness.json``, or to
 stdout after the report when there is no ``--out``. A window, family set or
-graph side above ``groups.MAX_ENUMERATED_POINTS`` is a config error, refused at
-once from its closed-form size, or by the ball walk's own count where none exists.
+graph side above ``groups.MAX_ENUMERATED_POINTS`` is a config error, refused by
+the library: by ``group_window``, ``boxes`` and ``balls`` from closed-form sizes,
+else by the walk's own count. Only an explicit graph side is checked here.
 
 Config schema (JSON, one object)::
 
@@ -60,7 +61,7 @@ from .paradox import (
     two_to_one_from_matching,
     verify_decomposition,
 )
-from .spaces import CellSpace, CheckReport, Window, box_points, verify_axioms, window_size
+from .spaces import CellSpace, CheckReport, Window, check_axiom_cost, verify_axioms
 from .transfer import (
     affine_dilations,
     affine_translations,
@@ -116,8 +117,6 @@ def _window(space: CellSpace, cfg: dict) -> Window:
         raise ConfigError(f"{space.name} takes no window block: its window is the whole space")
     core_r = _natural(wcfg.get("core_radius"), "core_radius")
     halo_r = _natural(wcfg.get("halo_radius"), "halo_radius")
-    radius = max(core_r, halo_r)
-    check_enumerable(window_size(space.point_group, radius), f"the window of radius {radius}")
     return space.ball_window(core_r, halo_r)
 
 
@@ -140,9 +139,8 @@ def _family(space: CellSpace, cfg: dict) -> list:
         if not isinstance(lattice, FreeAbelianGroup):
             raise ConfigError("boxes family needs a lattice point group (zd:d or hyperoct:d)")
         sizes = [_natural(n, "a box size") for n in _list(fcfg.get("sizes"), "sizes")]
-        for n in sizes:
-            check_enumerable(lattice.box_size(0, n), f"the box of size {n}")
-        family = [(f"box:{n}", box_points(lattice, 0, n)) for n in sizes]
+        boxes = lattice.boxes([(0, n) for n in sizes])
+        family = [(f"box:{n}", box) for n, box in zip(sizes, boxes)]
     elif kind == "balls":
         P = space.point_group
         if P is None:
@@ -323,8 +321,9 @@ def _cmd_describe(space: CellSpace, cfg: dict):
 
 def _cmd_axioms(space: CellSpace, cfg: dict):
     window = _window(space, cfg)
-    cosets = [space.coset(g) for g in space.group.ball(2)]
-    report = verify_axioms(space, window, cosets)
+    sample = space.group.ball(2)
+    check_axiom_cost(space, window, len(sample))  # before |sample|·|G0| coset products
+    report = verify_axioms(space, window, [space.coset(g) for g in sample])
     return _verdict(report, {"checks": _checks(report), "passed": report.passed})
 
 

@@ -13,16 +13,7 @@ payload list. Reports name points and keys by ``key_text``.
 from __future__ import annotations
 
 from .errors import ConstructionError
-from .groups import (
-    FreeAbelianGroup,
-    FreeGroup,
-    Group,
-    GroupElement,
-    PermutationGroup,
-    SemidirectProduct,
-    SignedPermutationGroup,
-    reduce_word,
-)
+from .groups import FreeGroup, Group, GroupElement
 from .spaces import CellSpace, point_key
 
 
@@ -48,40 +39,14 @@ def to_tuple(data):
         stack[-1][1].append(tuple(done))
 
 
-def encode_payload(payload) -> list:
-    return list(payload)
-
-
 def element(group: Group, data) -> GroupElement:
     """The element of ``group`` whose payload JSON wrote as ``data``."""
     if isinstance(group, FreeGroup):
         return group.word(data)
     payload = to_tuple(data)
-    if not _is_payload(group, payload):
+    if not group.is_payload(payload):
         raise ConstructionError(f"{data!r} is not an element of {group.signature}")
     return group.element(payload)
-
-
-def _is_payload(group: Group, p) -> bool:
-    """Whether ``p`` is the payload of an element of ``group``."""
-    if isinstance(group, SemidirectProduct):
-        return (
-            isinstance(p, tuple)
-            and len(p) == 2
-            and _is_payload(group.G0, p[0])
-            and _is_payload(group.H, p[1])
-        )
-    if not (isinstance(p, tuple) and all(type(x) is int for x in p)):
-        return False
-    if isinstance(group, FreeGroup):
-        return all(0 < abs(x) <= group.k for x in p) and reduce_word(p) == p
-    if isinstance(group, FreeAbelianGroup):
-        return len(p) == group.d
-    if isinstance(group, SignedPermutationGroup):
-        return sorted(abs(x) for x in p) == list(range(1, group.d + 1))
-    if isinstance(group, PermutationGroup):
-        return p in {g.payload for g in group.elements()}
-    return False
 
 
 def coset_key(space: CellSpace, data) -> tuple:
@@ -91,7 +56,7 @@ def coset_key(space: CellSpace, data) -> tuple:
 
 def encode_point(m):
     if isinstance(m, GroupElement):
-        return {"g": encode_payload(m.payload)}
+        return {"g": list(m.payload)}
     if isinstance(m, tuple):
         return {"t": list(m)}
     return m

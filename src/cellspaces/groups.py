@@ -59,8 +59,9 @@ class GroupElement:
 
 
 # the most points one window, family set or graph side may enumerate: the
-# free:2 ball of radius 12, the halo of a core radius 10 run. Like
-# HYPEROCT_MAX_RANK, a limit, not an option.
+# free:2 ball of radius 12, the halo of a core radius 10 run. It also bounds
+# the semi-actions of the axiom checks. Like HYPEROCT_MAX_RANK, a limit, not
+# an option.
 MAX_ENUMERATED_POINTS = 1_062_881
 
 # the closed-form sizes are exact up to SIZE_BOUND and read SIZE_BOUND + 1 above it
@@ -80,6 +81,11 @@ def check_enumerable(size: Optional[int], what: str, unit: str = "points") -> No
         raise ConstructionError(
             f"{what} has {count} {unit}, above MAX_ENUMERATED_POINTS = {MAX_ENUMERATED_POINTS}"
         )
+
+
+def _ints(p) -> bool:
+    """Whether ``p`` is a tuple of ints (a bool is not one)."""
+    return isinstance(p, tuple) and all(type(x) is int for x in p)
 
 
 def bfs_layers(
@@ -131,6 +137,10 @@ class Group:
         raise NotImplementedError
 
     def _inv(self, a: Payload) -> Payload:
+        raise NotImplementedError
+
+    def is_payload(self, p) -> bool:
+        """Whether ``p`` is the payload of an element of this group."""
         raise NotImplementedError
 
     def _hash_payload(self, a: Payload) -> int:
@@ -234,6 +244,9 @@ class PermutationGroup(Group):
     def _generator_payloads(self) -> list[Payload]:
         return list(self._gens)
 
+    def is_payload(self, p) -> bool:
+        return _ints(p) and p in {g.payload for g in self.elements()}
+
     def _identity(self) -> Payload:
         return tuple(range(self.n))
 
@@ -271,6 +284,9 @@ class SignedPermutationGroup(Group):
 
     def _identity(self) -> Payload:
         return tuple(range(1, self.d + 1))
+
+    def is_payload(self, p) -> bool:
+        return _ints(p) and sorted(map(abs, p)) == list(self._identity())
 
     def _generator_payloads(self) -> list[Payload]:
         gens = [tuple(-v if i == 0 else v for i, v in enumerate(self._identity()))]
@@ -328,6 +344,9 @@ class FreeAbelianGroup(Group):
     def _identity(self) -> Payload:
         return (0,) * self.d
 
+    def is_payload(self, p) -> bool:
+        return _ints(p) and len(p) == self.d
+
     def _generator_payloads(self) -> list[Payload]:
         gens = []
         for i in range(self.d):
@@ -358,6 +377,15 @@ class FreeAbelianGroup(Group):
     def box_size(self, lo: int, hi: int) -> int:
         """The number of points whose every coordinate lies in ``range(lo, hi)``."""
         return _power(max(hi - lo, 0), self.d)
+
+    def boxes(self, bounds: Sequence[tuple[int, int]]) -> list[list[GroupElement]]:
+        """The points of the box ``range(lo, hi)^d``, in lexicographic order,
+        for each (lo, hi) of ``bounds``, refused from the largest box before
+        any box is enumerated."""
+        lo, hi = max(bounds, key=lambda b: self.box_size(*b), default=(0, 0))
+        check_enumerable(self.box_size(lo, hi), f"the box of size {hi - lo}")
+        grids = (itertools.product(range(lo, hi), repeat=self.d) for lo, hi in bounds)
+        return [[GroupElement(self, v) for v in grid] for grid in grids]
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
@@ -395,6 +423,9 @@ class FreeGroup(Group):
 
     def _identity(self) -> Payload:
         return ()
+
+    def is_payload(self, p) -> bool:
+        return _ints(p) and all(0 < abs(x) <= self.k for x in p) and reduce_word(p) == p
 
     def _generator_payloads(self) -> list[Payload]:
         out = []
@@ -520,6 +551,11 @@ class SemidirectProduct(Group):
 
     def _identity(self) -> Payload:
         return (self.G0._identity(), self.H._identity())
+
+    def is_payload(self, p) -> bool:
+        if not (isinstance(p, tuple) and len(p) == 2):
+            return False
+        return self.G0.is_payload(p[0]) and self.H.is_payload(p[1])
 
     def _generator_payloads(self) -> list[Payload]:
         e0 = self.G0._identity()

@@ -323,12 +323,12 @@ def canonical_free_decomposition(space: CellSpace, scope: Window) -> Decompositi
 def decomposition_to_json(space: CellSpace, D: Decomposition) -> dict:
     def enc_family(family: dict) -> list:
         return [
-            [codec.encode_payload(e.key), [codec.encode_point(m) for m in family.get(e.key, ())]]
+            [list(e.key), [codec.encode_point(m) for m in family.get(e.key, ())]]
             for e in D.E
         ]
 
     return {
-        "E": [codec.encode_payload(e.key) for e in D.E],
+        "E": [list(e.key) for e in D.E],
         "A": enc_family(D.A),
         "B": enc_family(D.B),
         "scope": {

@@ -21,6 +21,7 @@ from .groups import (
     Group,
     GroupElement,
     SemidirectProduct,
+    check_enumerable,
 )
 
 
@@ -122,35 +123,22 @@ class Window:
         return frozenset(map(point_key, self.halo))
 
 
-def box_points(group: FreeAbelianGroup, lo: int, hi: int) -> tuple:
-    """The elements of Z^d whose every coordinate lies in ``range(lo, hi)``."""
-    return tuple(group.element(v) for v in itertools.product(range(lo, hi), repeat=group.d))
-
-
-def window_size(P: Group, r: int) -> Optional[int]:
-    """The number of points ``group_window`` enumerates for radius r, or None
-    when P has no closed form for its balls."""
-    if isinstance(P, FreeAbelianGroup):
-        return P.box_size(-r, r + 1)
-    return P.ball_size(r)
-
-
 def group_window(P: Group, core_radius: int, halo_radius: int) -> Window:
     """The window of a space whose points are the elements of the point
     group P: sup-norm boxes centred on the origin when P is Z^d, otherwise
-    P's word-metric balls in ``Group.ball`` order, both from one walk.
-
-    A halo smaller than the core is refused before any point is enumerated.
-    """
+    P's word-metric balls in ``Group.ball`` order. A window above
+    MAX_ENUMERATED_POINTS, and then a halo smaller than the core, are refused
+    before any point is enumerated."""
+    radius = max(core_radius, halo_radius)
+    lattice = isinstance(P, FreeAbelianGroup)
+    size = P.box_size(-radius, radius + 1) if lattice else P.ball_size(radius)
+    check_enumerable(size, f"the window of radius {radius}")
     if halo_radius < core_radius:
         raise ConstructionError("halo radius must be at least the core radius")
-    if isinstance(P, FreeAbelianGroup):
-        core, halo = (box_points(P, -r, r + 1) for r in (core_radius, halo_radius))
-        shape = "box"
-    else:
-        core, halo = map(tuple, P.balls((core_radius, halo_radius)))
-        shape = "ball"
-    return Window(core, halo, f"{shape} r={core_radius}, halo r={halo_radius}")
+    radii = (core_radius, halo_radius)
+    core, halo = P.boxes([(-r, r + 1) for r in radii]) if lattice else P.balls(radii)
+    note = f"{'box' if lattice else 'ball'} r={core_radius}, halo r={halo_radius}"
+    return Window(tuple(core), tuple(halo), note)
 
 
 def certifying_halo_note(
@@ -367,6 +355,15 @@ class CellSpace:
 # axiom verification
 
 
+def check_axiom_cost(space: CellSpace, sample: Window, coset_count: int) -> None:
+    """Refuse ``verify_axioms`` when its defect and semi-commutation checks
+    would each make more than MAX_ENUMERATED_POINTS semi-actions, about
+    |pts[:8]|·|ball(1)|·|G0|·coset_count: 195,840 on hyperoct:3 with a ball(2)
+    sample, 3,434,496 on hyperoct:4."""
+    count = min(len(sample.core), 8) * len(space.group.ball(1)) * len(space.stabilizer)
+    check_enumerable(count * coset_count, "the sample of the axiom checks", "semi-actions")
+
+
 def verify_axioms(
     space: CellSpace,
     sample: Window,
@@ -375,8 +372,10 @@ def verify_axioms(
     """Check the cell-space and semi-action axioms on finite samples.
 
     Passing is evidence, not proof: the defect and semi-commutation axioms
-    quantify over all of G/G0, which is sampled here.
+    quantify over all of G/G0, which is sampled here. A sample they would
+    take too long on is refused by ``check_axiom_cost``.
     """
+    check_axiom_cost(space, sample, len(coset_sample))
     report = CheckReport()
     pts = list(sample.core)
     gens = space.group.ball(1)

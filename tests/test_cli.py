@@ -506,6 +506,7 @@ def test_hyperoct2_box_ratios_equal_the_lattice_ones(tmp_path):
         ("hyperoct:2", [[1, 0]]),
         ("hyperoct:2", [[[1, 1], [0, 0]]]),
         ("hyperoct:2", [[[1, 2], [0, 0], [0, 0]]]),
+        ("hyperoct:2", [5]),
     ],
     ids=[
         "zd2-short",
@@ -517,6 +518,7 @@ def test_hyperoct2_box_ratios_equal_the_lattice_ones(tmp_path):
         "hyperoct2-flat",
         "hyperoct2-not-signed-perm",
         "hyperoct2-triple",
+        "hyperoct2-scalar",
     ],
 )
 def test_payload_outside_the_group_exits_1(tmp_path, capsys, name, E):
@@ -591,6 +593,29 @@ def test_oversized_enumeration_exits_1_at_once(tmp_path, capsys, command, cfg, m
     assert run([command, "--config", path]) == 1
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == f"error: {message}{_ABOVE_THE_LIMIT}\n"
+
+
+def test_boxes_family_is_refused_from_its_largest_box_before_any_is_built(tmp_path, capsys):
+    # the two boxes of size 1000 hold 10^6 points each, under the limit
+    cfg = {**ZD2_RATIOS, "family": {"kind": "boxes", "sizes": [1000, 1000, 10**6]}}
+    path = write(tmp_path, "c.json", cfg)
+    start = time.perf_counter()
+    assert run(["ratios", "--config", path]) == 1
+    assert time.perf_counter() - start < 1
+    message = f"the box of size 1000000 has 1000000000000 points{_ABOVE_THE_LIMIT}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("d, count", [(4, 3434496), (5, 63897600)])
+def test_axioms_on_a_large_hyperoctahedral_group_exit_1_at_once(tmp_path, capsys, d, count):
+    # |pts[:8]|·|ball(1)|·|G0|·|ball(2)| semi-actions: 8·13·384·86 at d = 4
+    cfg = {"space": {"name": f"hyperoct:{d}"}, "window": {"core_radius": 1, "halo_radius": 1}}
+    path = write(tmp_path, "c.json", cfg)
+    start = time.perf_counter()
+    assert run(["axioms", "--config", path]) == 1
+    assert time.perf_counter() - start < 1
+    message = f"the sample of the axiom checks has {count} semi-actions{_ABOVE_THE_LIMIT}"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_enumeration_limit_admits_the_free2_radius_12_halo():

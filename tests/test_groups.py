@@ -239,3 +239,51 @@ def test_tau_apply_matches_the_generator_table_on_a_free_factor():
         for g in sd.G0.elements():
             assert sd.tau_apply(g.payload, w.payload) == _tau_by_generators(sd, g.payload, w.payload)
         assert sd.tau_apply(sd.G0.identity().payload, w.payload) == w.payload
+
+
+def _hyperoct_product(d):
+    G0, H = SignedPermutationGroup(d), FreeAbelianGroup(d)
+    return SemidirectProduct(G0, H, hyperoctahedral_tau(G0, H))
+
+
+# each backend, and payloads near its own that name no element: a scalar, a
+# wrong length, a bool entry, an unreduced word, an out-of-range letter, a
+# repeated signed-permutation entry, a permutation outside the group, a list
+# in place of a tuple, and a semidirect pair with one bad part
+_NEAR_MISSES = {
+    "perm": (
+        lambda: PermutationGroup(3, [(1, 0, 2)]),
+        [5, (0, 1), (0, 1, 2, 3), (True, 0, 2), (1, 2, 0), [0, 1, 2], (0, 1, 2.0)],
+    ),
+    "signedperm": (
+        lambda: SignedPermutationGroup(2),
+        [5, (1,), (1, 2, 3), (True, 2), (1, 1), (2, -2), (0, 1), [1, 2]],
+    ),
+    "zd:3": (
+        lambda: FreeAbelianGroup(3),
+        [5, (0, 0), (0, 0, 0, 0), (0, False, 0), [0, 0, 0], ((0,), 0, 0)],
+    ),
+    "free:2": (
+        lambda: FreeGroup(2),
+        [5, (1, -1), (2, 1, -1, 2), (3,), (0,), (-3, 1), (True,), [1]],
+    ),
+    "semidirect-zd:2": (
+        lambda: _hyperoct_product(2),
+        [5, ((1, 2),), ((1, 2), (0, 0), ()), [(1, 2), (0, 0)], ((1, 2), [0, 0]),
+         ((1, 1), (0, 0)), ((1, 2), (0, 0, 0)), ((1, 2), (True, 0))],
+    ),
+    "semidirect-free:2": (
+        _letter_swap_product,
+        [5, ((0, 1),), [(0, 1), ()], ((0, 1), [1]), ((2, 0), (1,)), ((0, 1), (1, -1)),
+         ((1, 0), (3,))],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_MISSES))
+def test_is_payload_accepts_the_ball_and_refuses_near_misses(name):
+    make, near_misses = _NEAR_MISSES[name]
+    group = make()
+    assert all(group.is_payload(g.payload) for g in group.ball(2))
+    for p in near_misses:
+        assert not group.is_payload(p), p

@@ -23,7 +23,6 @@ from cellspaces import (
     space_by_name,
     verify_axioms,
 )
-from cellspaces.spaces import box_points, window_size
 
 
 def test_coset_equality_ignores_representative():
@@ -79,8 +78,11 @@ def test_window_refuses_a_halo_below_the_core_before_enumerating():
         def _ball_layers(self, r):
             raise AssertionError("a ball was walked")
 
-    with pytest.raises(ConstructionError, match="halo radius"):
+    # a window above the limit is refused from its size first
+    with pytest.raises(ConstructionError, match="the window of radius 1000000 has more than"):
         GroupAsSpace(NoBalls(2)).ball_window(10**6, 2)
+    with pytest.raises(ConstructionError, match="halo radius"):
+        GroupAsSpace(NoBalls(2)).ball_window(10, 2)
 
 
 def test_walk_without_a_closed_form_stops_at_the_limit(monkeypatch):
@@ -108,6 +110,22 @@ def test_free2_window_above_the_limit_is_refused_at_once():
     with pytest.raises(ConstructionError, match="MAX_ENUMERATED_POINTS"):
         space_by_name("free:2").ball_window(25, 25)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("name", ["zd:2", "hyperoct:2"])
+def test_lattice_window_above_the_limit_is_refused_at_once(name):
+    # the boxes of radius 10^5 hold 4·10^10 points
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError, match="the window of radius 100000 has 40000400001"):
+        space_by_name(name).ball_window(10**5, 10**5)
+    assert time.perf_counter() - start < 1
+
+
+def test_axioms_refuse_a_sample_above_the_semi_action_limit():
+    sp = hyperoct_space(4)
+    cosets = [sp.coset(g) for g in sp.group.ball(2)]
+    with pytest.raises(ConstructionError, match="has 3434496 semi-actions"):
+        verify_axioms(sp, sp.ball_window(1, 1), cosets)
 
 
 def test_preimage_size_respects_stabilizer_bound():
@@ -280,6 +298,9 @@ def test_closed_form_sizes_count_the_enumerations(name):
     P = sp.point_group
     for r in range(6):
         assert P.ball_size(r) == len(P.ball(r))
-        assert window_size(P, r) == len(sp.ball_window(r, r).core)
+        core = sp.ball_window(r, r).core
         if isinstance(P, FreeAbelianGroup):
-            assert P.box_size(0, r) == len(box_points(P, 0, r))
+            assert P.box_size(-r, r + 1) == len(core)
+            assert P.box_size(0, r) == len(P.boxes([(0, r)])[0])
+        else:
+            assert P.ball_size(r) == len(core)
