@@ -65,7 +65,6 @@ from .spaces import (
     Coset,
     FiniteSpace,
     GroupAsSpace,
-    PreimageResult,
     SemidirectCellSpace,
     Window,
     point_key,

@@ -49,11 +49,6 @@ def element(group: Group, data) -> GroupElement:
     return group.element(payload)
 
 
-def coset_key(space: CellSpace, data) -> tuple:
-    """Canonical key of the coset whose representative JSON wrote as ``data``."""
-    return space.coset(element(space.group, data)).key
-
-
 def encode_point(m):
     if isinstance(m, GroupElement):
         return {"g": list(m.payload)}

@@ -147,8 +147,6 @@ def doubling_from_failure(
                 f"{DOUBLING_MAX_PRODUCTS}"
             )
         E = _compose_sets(space, E, E2)
-    if not E.contains_identity:
-        raise ConstructionError("identity coset lost while composing expansion sets")
     return DoublingConstruction(xi=xi, n=n, E=E)
 
 

@@ -209,7 +209,7 @@ class Group:
     def _ball_layers(self, r: int) -> list[list[Payload]]:
         """The payloads at each distance 0..r from the identity, each layer
         in any order: the walk of ``balls``, by products with every
-        symmetrized generator. A negative radius is a ``ValueError``."""
+        symmetrized generator. ``balls`` refuses a negative radius first."""
         gens = self._symmetric_payloads()
         return bfs_layers(self._identity(), lambda p: map(self._mul, repeat(p), gens), r)
 
@@ -451,8 +451,6 @@ class FreeGroup(Group):
         # bfs_layers the walk keeps no set of the words it has seen, and
         # leaves the limit to ball_size. With the letters sorted, each layer
         # comes out sorted, which the sort in balls then only confirms
-        if r < 0:
-            raise ValueError("radius must be non-negative")
         letters = sorted(self._generator_payloads())
         grow = {x: [t for t in letters if t != (-x,)] for (x,) in letters}
         layers = [[()], letters][: r + 1]

@@ -341,13 +341,12 @@ def decomposition_to_json(space: CellSpace, D: Decomposition) -> dict:
 
 def decomposition_from_json(space: CellSpace, data: dict) -> Decomposition:
     try:
-        E = ExpansionSet.of(
-            [space.coset(codec.element(space.group, k)) for k in data["E"]]
-        )
+        coset = lambda k: space.coset(codec.element(space.group, k))
+        E = ExpansionSet.of([coset(k) for k in data["E"]])
 
         def dec_family(rows: list) -> dict:
             return {
-                codec.coset_key(space, k): tuple(codec.decode_point(space, m) for m in pts)
+                coset(k).key: tuple(codec.decode_point(space, m) for m in pts)
                 for k, pts in rows
             }
 

@@ -32,8 +32,8 @@ def point_key(m):
 class Coset:
     """Left coset of the stabilizer G0, with G0-aware equality.
 
-    The canonical key is the minimum payload among all representatives, so
-    cosets are hashable and deterministically ordered.
+    The canonical key is the minimum payload among all representatives;
+    ``ExpansionSet.of`` removes duplicates and orders cosets by it.
     """
 
     __slots__ = ("space", "rep", "key")
@@ -54,12 +54,6 @@ class Coset:
             self.space.group.signature == other.space.group.signature
             and self.key == other.key
         )
-
-    def __hash__(self) -> int:
-        return hash((self.space.group.signature, self.key))
-
-    def __lt__(self, other: "Coset") -> bool:
-        return self.key < other.key
 
     def representatives(self) -> list[GroupElement]:
         return sorted(self.rep * g0 for g0 in self.space.stabilizer)
@@ -184,18 +178,6 @@ def fiber_in_window(
     return inside, len(inside) == len(exact)
 
 
-@dataclass(frozen=True)
-class PreimageResult:
-    """Windowed preimage of A under ``. |> g``.
-
-    ``certified`` means the halo provably contains the whole preimage; an
-    uncertified result is only a lower bound on the true preimage.
-    """
-
-    points: tuple
-    certified: bool
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -304,11 +286,13 @@ class CellSpace:
         """A |> E."""
         return {self.semi_action(m, e) for m in A for e in E}
 
-    def preimage(self, coset: Coset, A: Sequence, universe: Window) -> PreimageResult:
-        inside, certified = fiber_in_window(
+    def preimage(self, coset: Coset, A: Sequence, universe: Window) -> tuple[set, bool]:
+        """The windowed preimage of A under ``. |> coset``: ``fiber_in_window``'s
+        (points, certified) pair. ``certified`` means the halo provably holds
+        the whole preimage; an uncertified result is only a lower bound."""
+        return fiber_in_window(
             self, lambda a: self.exact_preimage_point(coset, a), set(A), universe.halo_set
         )
-        return PreimageResult(tuple(sorted(inside, key=point_key)), certified)
 
     def undo_witness(self, m, coset: Coset, sample: Sequence[Coset]) -> GroupElement:
         """A representative g of the coset with (m |> coset) |> g' = m |> g g'

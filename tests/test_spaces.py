@@ -66,11 +66,11 @@ def test_preimage_certification_depends_on_halo():
     tight = sp.ball_window(2, 2)
     padded = sp.ball_window(2, 3)
     target = [g.word([1, 2])]
-    assert sp.preimage(a, target, padded).certified
+    assert sp.preimage(a, target, padded)[1]
     # the unique preimage ab a' has length 3 and escapes the tight halo
-    res = sp.preimage(a, target, tight)
-    assert not res.certified
-    assert res.points == ()
+    points, certified = sp.preimage(a, target, tight)
+    assert not certified
+    assert points == set()
 
 
 def test_window_refuses_a_halo_below_the_core_before_enumerating():
@@ -133,9 +133,9 @@ def test_preimage_size_respects_stabilizer_bound():
     w = sp.full_window()
     for c in sp.cosets():
         for m in range(5):
-            pre = sp.preimage(c, [m], w)
-            assert pre.certified
-            assert len(pre.points) <= len(sp.stabilizer)
+            points, certified = sp.preimage(c, [m], w)
+            assert certified
+            assert len(points) <= len(sp.stabilizer)
 
 
 def test_preimage_rejects_points_outside_halo():
