@@ -75,9 +75,21 @@ class ConfigError(Exception):
     pass
 
 
+# CPython's default limit on the digits of an int string, which bounds "p/q"
+MAX_EXPONENT = 4300
+
+
 def _fraction(text) -> Fraction:
+    """A config rational. A decimal exponent above MAX_EXPONENT is refused
+    before parsing, which would take seconds; so is a rational whose terms
+    ``_frac_str`` could not write."""
+    exponent = str(text).lower().partition("e")[2].replace("_", "").strip().lstrip("+-0")
     try:
-        return Fraction(str(text))
+        if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > MAX_EXPONENT):
+            raise ValueError(f"exponent above {MAX_EXPONENT}")
+        x = Fraction(str(text))
+        _frac_str(x)
+        return x
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rational {text!r}: {exc}") from exc
 
@@ -167,9 +179,13 @@ def _measure(space: CellSpace, universe: Window, cfg: dict) -> FAMeasure:
         pairs = _list(mcfg.get("weights"), "weights")
         if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
             raise ConfigError(f"weights must be [point, weight] pairs, got {pairs!r}")
-        return FAMeasure(
-            universe, {codec.decode_point(space, p): _fraction(w) for p, w in pairs}
-        )
+        weights: dict = {}
+        for p, w in pairs:
+            m = codec.decode_point(space, p)
+            if m in weights:
+                raise ConfigError(f"weights list the point {codec.key_text(m)} twice")
+            weights[m] = _fraction(w)
+        return FAMeasure(universe, weights)
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
@@ -450,7 +466,7 @@ def _cmd_verify_decomposition(space: CellSpace, cfg: dict):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read decomposition file: {exc}") from exc
     D = decomposition_from_json(space, data)
     report = verify_decomposition(space, D)
@@ -541,7 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.config, "rb") as fh:
             cfg_bytes = fh.read()
         cfg = json.loads(cfg_bytes)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

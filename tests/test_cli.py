@@ -353,7 +353,13 @@ FREE2_BALLS = {
 # the malformed configs whose whole stderr is pinned, by case id
 EXACT_CONFIG_ERRORS = {
     "balls-affine5": "balls family needs a point group (zd:d, free:k or hyperoct:d)",
+    "epsilon-not-a-rational": "bad rational 'x': Invalid literal for Fraction: 'x'",
+    "unknown-family-kind": "unknown family kind 'stars'",
+    "harem-k-0": "k must be a positive integer",
+    # the listed weights sum to 6/5, so they make no measure
+    "weights-repeated-point": "weights list the point 4 twice",
 }
+FIFTHS = [[m, "1/5"] for m in range(5)]
 
 
 @pytest.mark.parametrize(
@@ -388,6 +394,10 @@ EXACT_CONFIG_ERRORS = {
             "verify-decomposition",
             {"space": {"name": "free:2"}, "decomposition": "no-such-dir/dec.json"},
         ),
+        ("folner-search", {**ZD2_RATIOS, "epsilon": "x"}),
+        ("ratios", {**ZD2_RATIOS, "family": {"kind": "stars"}}),
+        ("harem", {"graph": {"left": 1, "right": 2, "edges": [[0, 0], [0, 1]]}, "k": 0}),
+        ("measures", {**AFFINE5, "measure": {"kind": "weights", "weights": FIFTHS + [[4, "1/5"]]}}),
     ],
     ids=[
         "config-list",
@@ -416,6 +426,10 @@ EXACT_CONFIG_ERRORS = {
         "weights-not-a-pair",
         "unknown-measure-kind",
         "decomposition-file-unreadable",
+        "epsilon-not-a-rational",
+        "unknown-family-kind",
+        "harem-k-0",
+        "weights-repeated-point",
     ],
 )
 def test_malformed_config_block_exits_1(request, tmp_path, capsys, command, cfg):
@@ -476,6 +490,89 @@ def test_missing_input_exits_1_with_a_typed_message(tmp_path, capsys, command, c
     path = write(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", str(tmp_path / "o.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _refusal(parse, text) -> str:
+    """The interpreter's own message when ``parse(text)`` passes its limit on
+    integer-string digits."""
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    return str(exc.value)
+
+
+def test_very_long_integer_in_a_loaded_file_exits_1(tmp_path, capsys):
+    # the interpreter refuses a 5,000-digit integer with a plain ValueError
+    limit = _refusal(json.loads, "1" * 5000)
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"space": {"name": "free:2"}, "window": {"core_radius": ' + "1" * 5000 + "}}")
+    assert run(["describe", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {limit}\n"
+    dec = tmp_path / "dec.json"
+    dec.write_text('{"E": [[' + "1" * 5000 + "]]}")
+    path = write(tmp_path, "v.json", {"space": {"name": "free:2"}, "decomposition": str(dec)})
+    assert run(["verify-decomposition", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: cannot read decomposition file: {limit}\n"
+
+
+@pytest.mark.parametrize(
+    "epsilon, reason",
+    [
+        ("1e5000", "exponent above 4300"),
+        ("1e10000000", "exponent above 4300"),
+        ("1e-10000000", "exponent above 4300"),
+        ("1e10_000_000", "exponent above 4300"),
+        ("1e4300", None),  # the interpreter's refusal to write 10^4300
+    ],
+    ids=["1e5000", "1e10000000", "1e-10000000", "1e10_000_000", "1e4300"],
+)
+def test_huge_decimal_exponent_exits_1_at_once(tmp_path, capsys, epsilon, reason):
+    # Fraction takes seconds to parse "1e10000000", and the report could not
+    # write 10^4300 as epsilon; both are refused before the search runs
+    reason = reason or _refusal(str, 10**4300)
+    path = write(tmp_path, "c.json", {**ZD2_RATIOS, "epsilon": epsilon})
+    start = time.perf_counter()
+    assert run(["folner-search", "--config", path, "--out", str(tmp_path / "o.json")]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: bad rational {epsilon!r}: {reason}\n"
+
+
+@pytest.mark.parametrize("epsilon", ["1/20", "0.05", "5e-2"])
+def test_config_rationals_parse_exactly(tmp_path, epsilon):
+    path = write(tmp_path, "c.json", {**ZD2_RATIOS, "epsilon": epsilon})
+    out = tmp_path / "o.json"
+    assert run(["folner-search", "--config", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["epsilon"] == "1/20"
+
+
+@pytest.mark.parametrize(
+    "command, cfg, code",
+    [
+        ("describe", {"space": {"name": "affine:3"}}, 0),
+        ("describe", {"space": "free:2"}, 1),
+        (
+            "doubling",
+            {
+                "space": {"name": "zd:2"},
+                "E": [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]],
+                "family": {"kind": "boxes", "sizes": [10]},
+            },
+            2,
+        ),
+    ],
+    ids=["describe", "malformed", "doubling-fails"],
+)
+def test_module_entry_point_matches_main(tmp_path, capsys, command, cfg, code):
+    path = write(tmp_path, "c.json", cfg)
+    src = os.path.dirname(os.path.dirname(cellspaces.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellspaces.cli", command, "--config", path],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"},
+        timeout=60,
+    )
+    assert run([command, "--config", path]) == code
+    assert proc.returncode == code
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
 
 
 def _ratio_columns(tmp_path, cfg):

@@ -8,6 +8,7 @@ from cellspaces import (
     ConstructionError,
     ExpansionSet,
     FiniteSpace,
+    FolnerSearchResult,
     FreeGroup,
     GroupAsSpace,
     IntegrityError,
@@ -319,3 +320,23 @@ def test_check_doubling_refuses_an_empty_family():
     sp = space_by_name("zd:2")
     with pytest.raises(ConstructionError, match="the family must be non-empty"):
         check_doubling(sp, unit_cosets(sp), [])
+
+
+def test_ratios_refuse_an_empty_set():
+    sp = space_by_name("zd:2")
+    with pytest.raises(ConstructionError) as exc:
+        ratios(sp, [], unit_cosets(sp).cosets[0], sp.ball_window(1, 2))
+    assert str(exc.value) == "F must be non-empty"
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(-1, 10)])
+@pytest.mark.parametrize("call", ["folner_search", "doubling_from_failure"])
+def test_nonpositive_epsilon_is_refused(call, epsilon):
+    sp = space_by_name("zd:2")
+    E = unit_cosets(sp)
+    with pytest.raises(ConstructionError) as exc:
+        if call == "folner_search":
+            folner_search(sp, E, epsilon, box_family(sp, [1]), sp.ball_window(1, 2))
+        else:
+            doubling_from_failure(sp, E, epsilon, FolnerSearchResult())
+    assert str(exc.value) == "epsilon must be positive"

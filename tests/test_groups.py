@@ -15,6 +15,7 @@ from cellspaces import (
     hyperoctahedral_tau,
     reduce_word,
     space_by_name,
+    subgroup_sample,
 )
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=20)
@@ -287,3 +288,53 @@ def test_is_payload_accepts_the_ball_and_refuses_near_misses(name):
     assert all(group.is_payload(g.payload) for g in group.ball(2))
     for p in near_misses:
         assert not group.is_payload(p), p
+
+
+_FLIP = PermutationGroup(2, [(1, 0)])  # identity (0, 1), then the flip (1, 0)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: FreeGroup(0),
+            ConstructionError,
+            "free group needs at least one generator",
+            id="free-rank-0",
+        ),
+        pytest.param(
+            lambda: subgroup_sample(FreeGroup(1), [], lambda g: True, radius=-1),
+            ValueError,
+            "radius must be non-negative",
+            id="bfs-negative-radius",
+        ),
+        pytest.param(
+            lambda: SemidirectProduct(FreeAbelianGroup(1), FreeAbelianGroup(1), {}),
+            ConstructionError,
+            "semidirect factor G0 must be finite",
+            id="semidirect-infinite-G0",
+        ),
+        pytest.param(
+            lambda: SemidirectProduct(_FLIP, FreeAbelianGroup(1), {((0, 1), 0): (2,)}),
+            ConstructionError,
+            "tau(e) must fix H-generator 0, got (2,)",
+            id="tau-identity-moves",
+        ),
+        pytest.param(
+            lambda: SemidirectProduct(_FLIP, FreeAbelianGroup(1), {((0, 1), 0): (1,)}),
+            ConstructionError,
+            "tau table not total: missing ((1, 0), 0)",
+            id="tau-not-total",
+        ),
+        pytest.param(
+            lambda: hyperoctahedral_tau(SignedPermutationGroup(2), FreeAbelianGroup(3)),
+            ConstructionError,
+            "dimension mismatch between point group and lattice",
+            id="hyperoct-dimension-mismatch",
+        ),
+    ],
+)
+def test_group_constructions_refuse_bad_input(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message

@@ -7,7 +7,9 @@ from cellspaces import (
     BoundedFn,
     ConstructionError,
     FAMeasure,
+    ScopeMismatchError,
     UncertifiedWindowError,
+    Window,
     affine_space,
     check_semi_invariance,
     empirical_mean_defect,
@@ -163,3 +165,55 @@ def test_uncertified_measures_name_the_certifying_halo():
     f = indicator(w, w.core[:10])
     funcamact(sp, f, a)
     empirical_mean_defect(sp, list(w.core), a, f, w)
+
+
+def _affine5_defect_of_empty_F():
+    sp = affine_space(5)
+    w = sp.full_window()
+    return empirical_mean_defect(sp, [], sp.coset(sp.coord(1)), indicator(w, [0]), w)
+
+
+def _semi_invariance_on_free2():
+    sp = space_by_name("free:2")
+    return check_semi_invariance(sp, FAMeasure.uniform(sp.ball_window(1, 1)))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: BoundedFn(Window((0, 1), (0, 1, 2)), {3: Fraction(1)}),
+            ScopeMismatchError,
+            "function value at 3 outside the window",
+            id="value-outside-window",
+        ),
+        pytest.param(
+            lambda: FAMeasure(Window((0,), (0, 1)), {0: Fraction(1)}),
+            ConstructionError,
+            "measure universes must have core == halo",
+            id="universe-core-below-halo",
+        ),
+        pytest.param(
+            lambda: FAMeasure(Window((0, 1), (0, 1)), {2: Fraction(1)}),
+            ScopeMismatchError,
+            "weight at 2 outside the universe",
+            id="weight-outside-universe",
+        ),
+        pytest.param(
+            _semi_invariance_on_free2,
+            ConstructionError,
+            "semi-invariance check needs a finite space",
+            id="semi-invariance-infinite",
+        ),
+        pytest.param(
+            _affine5_defect_of_empty_F,
+            ConstructionError,
+            "F must be non-empty",
+            id="mean-defect-empty-F",
+        ),
+    ],
+)
+def test_measure_constructions_refuse_bad_input(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message

@@ -13,6 +13,7 @@ from cellspaces import (
     ExpansionSet,
     FAMeasure,
     HaremMatching,
+    ScopeMismatchError,
     UncertifiedWindowError,
     Window,
     affine_space,
@@ -419,3 +420,20 @@ def test_decomposition_file_refuses_a_point_outside_the_space(name, point):
     doc = _replaced(doc, ("A", 0, 1), doc["A"][0][1] + [point])
     with pytest.raises(ConstructionError, match="is not a point of"):
         decomposition_from_json(sp, doc)
+
+
+def test_tarski_contradiction_refuses_a_measure_on_another_universe():
+    sp = free2()
+    D = canonical_free_decomposition(sp, sp.ball_window(2, 3))
+    mu = FAMeasure.uniform(sp.ball_window(1, 1))
+    with pytest.raises(ScopeMismatchError) as exc:
+        tarski_contradiction(sp, D, mu)
+    assert str(exc.value) == "measure universe differs from the decomposition scope"
+
+
+@pytest.mark.parametrize("name", ["free:1", "free:3", "zd:2"])
+def test_canonical_decomposition_needs_free2(name):
+    sp = space_by_name(name)
+    with pytest.raises(ConstructionError) as exc:
+        canonical_free_decomposition(sp, sp.ball_window(1, 1))
+    assert str(exc.value) == "the closed-form decomposition needs a rank-2 free group"

@@ -304,3 +304,10 @@ def test_closed_form_sizes_count_the_enumerations(name):
             assert P.box_size(0, r) == len(P.boxes([(0, r)])[0])
         else:
             assert P.ball_size(r) == len(core)
+
+
+def test_cell_space_refuses_an_empty_stabilizer():
+    group = FreeGroup(1)
+    with pytest.raises(ConstructionError) as exc:
+        CellSpace(group, group.identity(), [])
+    assert str(exc.value) == "stabilizer must be enumerated and non-empty"

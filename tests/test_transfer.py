@@ -9,6 +9,7 @@ from cellspaces import (
     FreeAbelianGroup,
     FreeGroup,
     PermutationGroup,
+    ScopeMismatchError,
     SemidirectCellSpace,
     SemidirectProduct,
     Window,
@@ -211,3 +212,21 @@ def test_uniform_measures_semi_invariant_on_finite_examples():
         sp = affine_space(q)
         mu = FAMeasure.uniform(sp.full_window())
         assert check_semi_invariance(sp, mu).passed
+
+
+def test_transfer_conditions_need_a_sample_window_on_an_infinite_space():
+    sp = space_by_name("zd:2")
+    H = subgroup_sample(sp.group, [], lambda g: True, radius=0)
+    with pytest.raises(ConstructionError) as exc:
+        check_transfer_conditions(sp, H)
+    assert str(exc.value) == "an infinite space needs an explicit sample window"
+
+
+def test_invariance_check_refuses_a_point_that_leaves_the_universe():
+    # the translation by 1 moves the universe's only point 0 to 1
+    sp = affine_space(5)
+    mu = FAMeasure.point_mass(Window((0,), (0,)), 0)
+    t1 = sp.coord(1)
+    with pytest.raises(ScopeMismatchError) as exc:
+        transfer_invariance_check(sp, mu, sp.coset(t1), t1)
+    assert str(exc.value) == "point 0 leaves the measure universe under the check"
