@@ -47,7 +47,7 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 from . import codec
-from .errors import CellSpacesError
+from .errors import CellSpacesError, ConfigError
 from .folner import ExpansionSet, check_doubling, folner_search, ratios
 from .groups import FreeAbelianGroup, check_enumerable
 from .matching import HaremMatching, solve_harem
@@ -69,10 +69,6 @@ from .transfer import (
     space_by_name,
     transfer_invariance_check,
 )
-
-
-class ConfigError(Exception):
-    pass
 
 
 # CPython's default limit on the digits of an int string, which bounds "p/q"
@@ -574,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if space is None and handler is not _cmd_harem:
             raise ConfigError("config needs a space block")
         payload, witness = handler(space, cfg)
-    except (ConfigError, CellSpacesError, KeyError, ValueError) as exc:
+    except CellSpacesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,10 @@ class BackendMismatchError(CellSpacesError, TypeError):
     """Raised when elements of different group backends are combined."""
 
 
+class ConfigError(CellSpacesError):
+    """Raised when a CLI config is malformed or asks for what no command runs."""
+
+
 class ConstructionError(CellSpacesError, ValueError):
     """Raised when a group or space construction fails a validity check."""
 

@@ -99,7 +99,7 @@ def bfs_layers(
     raises ``ConstructionError`` at the first node past MAX_ENUMERATED_POINTS.
     """
     if radius is not None and radius < 0:
-        raise ValueError("radius must be non-negative")
+        raise ConstructionError("radius must be non-negative")
     seen = {start}
     layers = [[start]]
     for _ in itertools.count() if radius is None else range(radius):
@@ -193,7 +193,7 @@ class Group:
         if not radii:
             return []
         if min(radii) < 0:
-            raise ValueError("radius must be non-negative")
+            raise ConstructionError("radius must be non-negative")
         top = max(radii)
         check_enumerable(self.ball_size(top), f"the ball of radius {top}")
         points, ends = [], []
@@ -218,7 +218,7 @@ class Group:
         return False
 
     def elements(self) -> list[GroupElement]:
-        raise NotImplementedError(f"{self.backend} group is not finite")
+        raise ConstructionError(f"{self.backend} group is not finite")
 
     def describe_element(self, payload: Payload) -> str:
         return repr(payload)

@@ -243,7 +243,7 @@ class CellSpace:
         return False
 
     def points(self) -> list:
-        raise NotImplementedError(f"{self.name} has infinitely many points")
+        raise ConstructionError(f"{self.name} has infinitely many points")
 
     def full_window(self) -> Window:
         """All points of a finite space, as both core and halo."""

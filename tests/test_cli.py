@@ -39,6 +39,20 @@ def test_missing_config_exits_1(tmp_path, capsys):
     assert run(["axioms", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+def test_exit_1_is_exactly_a_package_error(tmp_path, monkeypatch):
+    # main catches CellSpacesError alone: config refusals are package errors,
+    # and an untyped exception is a defect that must surface as a traceback
+    assert issubclass(cli.ConfigError, cellspaces.CellSpacesError)
+    cfg = write(tmp_path, "c.json", {"space": {"name": "free:2"}})
+
+    def defect(space, cfg):
+        raise KeyError("x")
+
+    monkeypatch.setitem(cli.COMMANDS, "describe", defect)
+    with pytest.raises(KeyError):
+        run(["describe", "--config", cfg])
+
+
 def test_unknown_command_exits_1(tmp_path):
     cfg = write(tmp_path, "c.json", {"space": {"name": "affine:3"}})
     assert run(["frobnicate", "--config", cfg]) == 1

@@ -17,6 +17,7 @@ from cellspaces import (
     space_by_name,
     subgroup_sample,
 )
+from cellspaces.groups import bfs_layers
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=20)
 
@@ -307,6 +308,30 @@ _FLIP = PermutationGroup(2, [(1, 0)])  # identity (0, 1), then the flip (1, 0)
             ValueError,
             "radius must be non-negative",
             id="bfs-negative-radius",
+        ),
+        pytest.param(
+            lambda: bfs_layers((), lambda p: [], radius=-1),
+            ConstructionError,
+            "radius must be non-negative",
+            id="bfs-negative-radius-typed",
+        ),
+        pytest.param(
+            lambda: FreeAbelianGroup(2).balls([1, -1]),
+            ConstructionError,
+            "radius must be non-negative",
+            id="balls-negative-radius",
+        ),
+        pytest.param(
+            lambda: FreeGroup(2).elements(),
+            ConstructionError,
+            "free group is not finite",
+            id="infinite-group-elements",
+        ),
+        pytest.param(
+            lambda: space_by_name("hyperoct:2").points(),
+            ConstructionError,
+            "hyperoct:2 has infinitely many points",
+            id="infinite-space-points",
         ),
         pytest.param(
             lambda: SemidirectProduct(FreeAbelianGroup(1), FreeAbelianGroup(1), {}),
