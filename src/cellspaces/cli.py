@@ -41,6 +41,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -298,12 +299,22 @@ def _csv(header: dict, rows: list) -> str:
     return buf.getvalue()
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
+def _write(text: str, path: Optional[str], written: list) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is None, and
+    add the file to ``written``. A file that cannot be written is refused,
+    and the regular files in ``written`` are removed first, so that a refused
+    run leaves no report behind."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            written.append(path)
+            fh.write(text)
+    except OSError as exc:
+        for done in filter(os.path.isfile, written):
+            os.remove(done)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -570,21 +581,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if space is None and handler is not _cmd_harem:
             raise ConfigError("config needs a space block")
         payload, witness = handler(space, cfg)
+        header = _header(cfg_bytes, space, args.seed)
+        rows = payload.get("records")
+        written: list = []
+        if args.format == "csv" and rows is not None:
+            _write(_csv(header, rows), args.out, written)
+        else:
+            report = {"header": header, "command": args.command, "result": payload}
+            _write(_json(report), args.out, written)
+        if witness is not None:
+            witness_path = args.out + ".witness.json" if args.out else None
+            _write(_json({"header": header, "witness": witness}), witness_path, written)
     except CellSpacesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    header = _header(cfg_bytes, space, args.seed)
-    rows = payload.get("records")
-    if args.format == "csv" and rows is not None:
-        _write(_csv(header, rows), args.out)
-    else:
-        _write(_json({"header": header, "command": args.command, "result": payload}), args.out)
-    if witness is None:
-        return 0
-    witness_path = args.out + ".witness.json" if args.out else None
-    _write(_json({"header": header, "witness": witness}), witness_path)
-    return 2
+    return 0 if witness is None else 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ class BackendMismatchError(CellSpacesError, TypeError):
 
 
 class ConfigError(CellSpacesError):
-    """Raised when a CLI config is malformed or asks for what no command runs."""
+    """Raised when a CLI config is malformed or asks for what no command runs,
+    or when a report cannot be written."""
 
 
 class ConstructionError(CellSpacesError, ValueError):

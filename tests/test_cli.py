@@ -192,6 +192,30 @@ def test_harem_explicit_graph(tmp_path):
     assert witness["witness"]["side"] in ("left", "right")
 
 
+HALL_FAILS = {"graph": {"left": 2, "right": 4, "edges": [[0, 0], [1, 0], [1, 1], [1, 2]]}, "k": 2}
+
+
+@pytest.mark.parametrize(
+    "out, blocked, reason",
+    [
+        ("missing/o.json", None, "No such file or directory"),
+        ("taken", "taken", "Is a directory"),
+        ("o.json", "o.json.witness.json", "Is a directory"),
+    ],
+    ids=["missing-directory", "out-is-a-directory", "witness-is-a-directory"],
+)
+def test_unwritable_out_exits_1_and_leaves_no_report(tmp_path, capsys, out, blocked, reason):
+    # a write that once ended in a traceback; when only the witness cannot be
+    # written, the report written before it is removed
+    if blocked:
+        (tmp_path / blocked).mkdir()
+    cfg = write(tmp_path, "c.json", HALL_FAILS)
+    refused = str(tmp_path / (blocked or out))
+    assert run(["harem", "--config", cfg, "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {refused}: {reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"c.json", blocked or "c.json"})
+
+
 @pytest.mark.parametrize(
     "graph",
     [
