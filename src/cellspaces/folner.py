@@ -8,6 +8,7 @@ the finite-E/epsilon criterion it is equivalent to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -16,7 +17,8 @@ from .errors import ConstructionError
 from .spaces import CellSpace, Coset, ExpansionSet, Window, fiber_in_window, point_key
 
 # each step of doubling_from_failure forms |E|·|G0|·|E2| coset products, and
-# |E| grows about |E2|-fold per step; free:2 with epsilon = 1/10 peaks at 21,865
+# |E| grows about |E2|-fold per step; free:2 with epsilon = 1/10 forms 32,755
+# in all, 21,865 of them in its last step
 DOUBLING_MAX_PRODUCTS = 100_000
 
 
@@ -119,8 +121,8 @@ def doubling_from_failure(
     Requires evidence (an exhausted search) that every family member has an
     outward ratio >= epsilon for some coset in E1. Builds E2 = {G0} u E1,
     xi = 1 + epsilon/|G0|, n minimal with xi^n >= 2, and E as the n-fold
-    composition of E2 with itself. A step that would form more than
-    ``DOUBLING_MAX_PRODUCTS`` coset products is refused before it runs.
+    composition of E2 with itself. A step that would take the coset products
+    formed so far above ``DOUBLING_MAX_PRODUCTS`` is refused before it runs.
     """
     if epsilon <= 0:
         raise ConstructionError("epsilon must be positive")
@@ -132,22 +134,45 @@ def doubling_from_failure(
     identity = space.coset(space.group.identity())
     E2 = ExpansionSet.of([identity, *E1.cosets])
     xi = 1 + Fraction(epsilon) / len(space.stabilizer)
-    n = 1
-    power = xi
-    while power < 2:
-        power *= xi
-        n += 1
-    E = E2
-    for step in range(2, n + 1):
+    # every step forms at least one product, so when n is above cap the
+    # limit stops the steps by step cap + 1, and n need not be known exactly
+    cap = DOUBLING_MAX_PRODUCTS + 1
+    n = _doubling_exponent(xi, cap)
+    needs = f"n = {n}" if n else f"n > {cap}"
+    E, total = E2, 0
+    for step in range(2, (n or cap + 1) + 1):
         products = len(E) * len(space.stabilizer) * len(E2)
-        if products > DOUBLING_MAX_PRODUCTS:
+        total += products
+        if total > DOUBLING_MAX_PRODUCTS:
             raise ConstructionError(
-                f"doubling set needs n = {n} compositions of |E2| = {len(E2)} cosets; "
-                f"step {step} would form {products} coset products, above the limit "
-                f"{DOUBLING_MAX_PRODUCTS}"
+                f"doubling set needs {needs} compositions of |E2| = {len(E2)} cosets; "
+                f"step {step} would form {products} coset products, {total} in all, "
+                f"above the limit {DOUBLING_MAX_PRODUCTS}"
             )
         E = _compose_sets(space, E, E2)
     return DoublingConstruction(xi=xi, n=n, E=E)
+
+
+def _doubling_exponent(xi: Fraction, cap: int) -> Optional[int]:
+    """The least n >= 1 with xi^n >= 2, for xi > 1, or None when it is above
+    ``cap``. A float estimate, confirmed by comparing exact integer powers;
+    only an estimate that rounds across an integer is moved, by one."""
+    if xi >= 2:
+        return 1
+    p, q = xi.numerator, xi.denominator
+    x = (p - q) / q  # xi - 1, rounded; 0.0 when it underflows
+    estimate = math.log(2) / math.log1p(x) if x else math.inf
+    if estimate > cap + 1:
+        return None
+    n = max(1, math.ceil(estimate))
+    while True:
+        below, twice = p ** (n - 1), 2 * q ** (n - 1)
+        if below >= twice:  # xi^(n-1) >= 2 already
+            n -= 1
+        elif below * p < twice * q:  # xi^n < 2 still
+            n += 1
+        else:
+            return n if n <= cap else None
 
 
 def _compose_sets(space: CellSpace, E: ExpansionSet, E2: ExpansionSet) -> ExpansionSet:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from cellspaces import (
     ratios,
     space_by_name,
 )
+from cellspaces.folner import _doubling_exponent
 from oracles import box_ratio_out, free2_ball_ratio_out, free2_product_size
 
 
@@ -135,6 +137,57 @@ def test_doubling_from_failure_refuses_a_step_over_the_size_bound():
     evidence = _free2_ball_evidence(sp, E1, epsilon)
     with pytest.raises(ConstructionError, match=r"n = 15 .*\|E2\| = 5 .*step 10 .*196825 .*100000"):
         doubling_from_failure(sp, E1, epsilon, evidence)
+
+
+def test_doubling_from_failure_refuses_a_long_chain_at_once():
+    # xi = 1 + 10^-4 gives n = 6,932; the exact powers the exponent was once
+    # found by had not returned after a minute. Step s forms 2s products, so
+    # the running total passes the limit at step 316
+    sp = space_by_name("zd:2")
+    E1 = ExpansionSet.of([sp.coset(sp.group.element((1, 0)))])
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError) as exc:
+        doubling_from_failure(sp, E1, Fraction(1, 10**4), FolnerSearchResult())
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == (
+        "doubling set needs n = 6932 compositions of |E2| = 2 cosets; step 316 would "
+        "form 632 coset products, 100170 in all, above the limit 100000"
+    )
+
+
+def _least_doubling_power(xi):
+    n, power = 1, xi
+    while power < 2:
+        n, power = n + 1, power * xi
+    return n
+
+
+def _root_bracket(n, scale=10**40):
+    """The multiples of 1/scale just below and just above 2^(1/n)."""
+    lo, hi = scale, 2 * scale
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**n < 2 * scale**n else (lo, mid)
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
+@pytest.mark.parametrize(
+    "xi",
+    [Fraction(3), Fraction(2), Fraction(9, 8), Fraction(10001, 10000)]
+    + [1 + Fraction(1, k) for k in range(1, 60)]
+    # within 10^-40 of 2^(1/n), closer than a float resolves: the estimate
+    # is one too small below the root for each n, and one too large above
+    # it for n = 44
+    + [xi for n in (2, 7, 44) for xi in _root_bracket(n)],
+)
+def test_doubling_exponent_is_exact(xi):
+    assert _doubling_exponent(xi, 10**6) == _least_doubling_power(xi)
+
+
+def test_doubling_exponent_above_its_cap_is_none():
+    assert _doubling_exponent(1 + Fraction(1, 10**400), 100_001) is None
+    assert _doubling_exponent(Fraction(10001, 10000), 6_931) is None
+    assert _doubling_exponent(Fraction(10001, 10000), 6_932) == 6_932
 
 
 def test_doubling_from_failure_rejects_positive_evidence():
