@@ -396,6 +396,7 @@ EXACT_CONFIG_ERRORS = {
     "harem-k-0": "k must be a positive integer",
     # the listed weights sum to 6/5, so they make no measure
     "weights-repeated-point": "weights list the point 4 twice",
+    "no-window-free2": "infinite space needs a window block",
 }
 FIFTHS = [[m, "1/5"] for m in range(5)]
 
@@ -436,6 +437,7 @@ FIFTHS = [[m, "1/5"] for m in range(5)]
         ("ratios", {**ZD2_RATIOS, "family": {"kind": "stars"}}),
         ("harem", {"graph": {"left": 1, "right": 2, "edges": [[0, 0], [0, 1]]}, "k": 0}),
         ("measures", {**AFFINE5, "measure": {"kind": "weights", "weights": FIFTHS + [[4, "1/5"]]}}),
+        ("ratios", {k: v for k, v in FREE2_BALLS.items() if k != "window"}),
     ],
     ids=[
         "config-list",
@@ -468,6 +470,7 @@ FIFTHS = [[m, "1/5"] for m in range(5)]
         "unknown-family-kind",
         "harem-k-0",
         "weights-repeated-point",
+        "no-window-free2",
     ],
 )
 def test_malformed_config_block_exits_1(request, tmp_path, capsys, command, cfg):

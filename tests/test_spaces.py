@@ -1,9 +1,11 @@
 import itertools
+import json
 import time
 from fractions import Fraction
 
 import pytest
 
+import cellspaces.codec as codec
 import cellspaces.groups as groups
 from cellspaces import (
     CellSpace,
@@ -210,6 +212,26 @@ def test_finite_space_requires_valid_coordinates():
             m0=0,
             coords={0: g.identity(), 1: g.identity(), 2: g.identity()},
         )
+
+
+def test_tuple_points_round_trip_through_the_codec():
+    # Z/3 turning the three points (0, 0), (1, 0), (2, 0) of a tuple-pointed space
+    g = PermutationGroup(3, [(1, 2, 0)])
+    rot = g.generators[0]
+    pts = [(i, 0) for i in range(3)]
+    sp = FiniteSpace(
+        g,
+        points=pts,
+        action=lambda e, m: (e.payload[m[0]], 0),
+        m0=(0, 0),
+        coords={(0, 0): g.identity(), (1, 0): rot, (2, 0): rot * rot},
+    )
+    for m in pts:
+        data = json.loads(json.dumps(codec.encode_point(m)))
+        assert data == {"t": [m[0], 0]}
+        assert codec.decode_point(sp, data) is m
+    with pytest.raises(ConstructionError):
+        codec.decode_point(sp, {"t": [3, 0]})
 
 
 def test_group_as_space_over_a_finite_group():
