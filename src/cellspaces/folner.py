@@ -134,13 +134,13 @@ def doubling_from_failure(
     identity = space.coset(space.group.identity())
     E2 = ExpansionSet.of([identity, *E1.cosets])
     xi = 1 + Fraction(epsilon) / len(space.stabilizer)
-    # every step forms at least one product, so when n is above cap the
-    # limit stops the steps by step cap + 1, and n need not be known exactly
+    # every step forms at least one product, so the limit stops the steps by
+    # step cap + 1: an n above cap need not be known exactly
     cap = DOUBLING_MAX_PRODUCTS + 1
     n = _doubling_exponent(xi, cap)
-    needs = f"n = {n}" if n else f"n > {cap}"
+    needs, last = (f"n = {n}", n) if n else (f"n > {cap}", cap + 1)
     E, total = E2, 0
-    for step in range(2, (n or cap + 1) + 1):
+    for step in range(2, last + 1):
         products = len(E) * len(space.stabilizer) * len(E2)
         total += products
         if total > DOUBLING_MAX_PRODUCTS:

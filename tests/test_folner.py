@@ -139,7 +139,8 @@ def test_doubling_from_failure_refuses_a_step_over_the_size_bound():
         doubling_from_failure(sp, E1, epsilon, evidence)
 
 
-def test_doubling_from_failure_refuses_a_long_chain_at_once():
+@pytest.mark.parametrize("digits, needs", [(4, "n = 6932"), (400, "n > 100001")])
+def test_doubling_from_failure_refuses_a_long_chain_at_once(digits, needs):
     # xi = 1 + 10^-4 gives n = 6,932; the exact powers the exponent was once
     # found by had not returned after a minute. Step s forms 2s products, so
     # the running total passes the limit at step 316
@@ -147,10 +148,10 @@ def test_doubling_from_failure_refuses_a_long_chain_at_once():
     E1 = ExpansionSet.of([sp.coset(sp.group.element((1, 0)))])
     start = time.perf_counter()
     with pytest.raises(ConstructionError) as exc:
-        doubling_from_failure(sp, E1, Fraction(1, 10**4), FolnerSearchResult())
+        doubling_from_failure(sp, E1, Fraction(1, 10**digits), FolnerSearchResult())
     assert time.perf_counter() - start < 1
     assert str(exc.value) == (
-        "doubling set needs n = 6932 compositions of |E2| = 2 cosets; step 316 would "
+        f"doubling set needs {needs} compositions of |E2| = 2 cosets; step 316 would "
         "form 632 coset products, 100170 in all, above the limit 100000"
     )
 
