@@ -40,6 +40,7 @@ free groups, image tuples for permutation groups.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -297,27 +298,38 @@ def _csv(header: dict, rows: list) -> str:
         buf.write(f"# {key}={header[key]}\n")
     writer = csv.DictWriter(buf, fieldnames=RATIO_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _write(text: str, path: Optional[str], written: list) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when it is None, and
-    add the file to ``written``. A file that cannot be written is refused,
-    and the regular files in ``written`` are removed first, so that a refused
-    run leaves no report behind."""
-    if not path:
-        sys.stdout.write(text)
-        return
+def _load(path: str, what: str) -> tuple[bytes, object]:
+    """The bytes and JSON document of the file ``path``, refused as ``cannot read {what}: …``."""
     try:
-        with open(path, "w") as fh:
-            written.append(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data, json.loads(data)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
+def _write(text: str, path: Optional[str], written: list) -> None:
+    """Write and flush ``text`` to the file ``path`` (added to ``written``), or to
+    stdout when it is None. A failed write is refused once the regular files in
+    ``written`` are removed, so a refused run leaves no report behind."""
+    try:
+        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+            if path:
+                written.append(path)
             fh.write(text)
+            fh.flush()
     except OSError as exc:
+        if not path:  # closing drops what is still buffered, which would fail again at exit
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
         for done in filter(os.path.isfile, written):
             os.remove(done)
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        target = path or "standard output"
+        raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +485,7 @@ def _cmd_verify_decomposition(space: CellSpace, cfg: dict):
     path = cfg.get("decomposition")
     if not isinstance(path, str) or not path:
         raise ConfigError("verify-decomposition needs a decomposition file path")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read decomposition file: {exc}") from exc
-    D = decomposition_from_json(space, data)
+    D = decomposition_from_json(space, _load(path, "decomposition file")[1])
     report = verify_decomposition(space, D)
     payload = {
         "passed": report.passed,
@@ -563,16 +570,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
-    try:
-        with open(args.config, "rb") as fh:
-            cfg_bytes = fh.read()
-        cfg = json.loads(cfg_bytes)
-    except (OSError, ValueError, RecursionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
     handler = COMMANDS[args.command]
     try:
+        cfg_bytes, cfg = _load(args.config, "config")
         if not isinstance(cfg, dict):
             raise ConfigError(f"config must be a JSON object, got {cfg!r}")
         space_cfg = _block(cfg, "space")

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -36,7 +38,19 @@ def run(args):
 
 
 def test_missing_config_exits_1(tmp_path, capsys):
-    assert run(["axioms", "--config", str(tmp_path / "nope.json")]) == 1
+    # the config is refused in main's one handler, as every other input is
+    path = tmp_path / "nope.json"
+    assert run(["axioms", "--config", str(path)]) == 1
+    reason = f"[Errno 2] No such file or directory: {str(path)!r}"
+    assert capsys.readouterr() == ("", f"error: cannot read config: {reason}\n")
+
+
+def test_config_that_is_not_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text("space: free:2\n")
+    assert run(["describe", "--config", str(path)]) == 1
+    reason = "Expecting value: line 1 column 1 (char 0)"
+    assert capsys.readouterr() == ("", f"error: cannot read config: {reason}\n")
 
 
 def test_exit_1_is_exactly_a_package_error(tmp_path, monkeypatch):
@@ -214,6 +228,45 @@ def test_unwritable_out_exits_1_and_leaves_no_report(tmp_path, capsys, out, bloc
     assert run(["harem", "--config", cfg, "--out", str(tmp_path / out)]) == 1
     assert capsys.readouterr() == ("", f"error: cannot write {refused}: {reason}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"c.json", blocked or "c.json"})
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_closed_pipe_exits_1_with_one_error_line(tmp_path, unbuffered):
+    # once a BrokenPipeError traceback (unbuffered), or exit 0 followed by an
+    # "Exception ignored" line and exit 120 when the interpreter flushed stdout
+    cfg = write(tmp_path, "c.json", {"space": {"name": "free:2"}})
+    src = os.path.dirname(os.path.dirname(cellspaces.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cellspaces.cli", "describe", "--config", cfg],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+
+
+class _FullStdout(io.StringIO):
+    """A standard output on a device with no space left."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_with_no_space_left_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # the write that once escaped main as an OSError traceback
+    cfg = write(tmp_path, "c.json", {"space": {"name": "free:2"}})
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert run(["describe", "--config", cfg]) == 1
+    reason = os.strerror(errno.ENOSPC)
+    assert capsys.readouterr().err == f"error: cannot write standard output: {reason}\n"
 
 
 @pytest.mark.parametrize(
@@ -547,7 +600,7 @@ def test_very_long_integer_in_a_loaded_file_exits_1(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"space": {"name": "free:2"}, "window": {"core_radius": ' + "1" * 5000 + "}}")
     assert run(["describe", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == f"config error: {limit}\n"
+    assert capsys.readouterr().err == f"error: cannot read config: {limit}\n"
     dec = tmp_path / "dec.json"
     dec.write_text('{"E": [[' + "1" * 5000 + "]]}")
     path = write(tmp_path, "v.json", {"space": {"name": "free:2"}, "decomposition": str(dec)})
