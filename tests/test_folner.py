@@ -24,7 +24,7 @@ from cellspaces import (
     ratios,
     space_by_name,
 )
-from cellspaces.folner import _doubling_exponent
+from cellspaces.folner import _compose_sets, _doubling_exponent
 from oracles import box_ratio_out, free2_ball_ratio_out, free2_product_size
 
 
@@ -154,6 +154,41 @@ def test_doubling_from_failure_refuses_a_long_chain_at_once(digits, needs):
         f"doubling set needs {needs} compositions of |E2| = 2 cosets; step 316 would "
         "form 632 coset products, 100170 in all, above the limit 100000"
     )
+
+
+def test_doubling_from_failure_refuses_an_epsilon_with_long_terms_at_once():
+    # n is near 99,022 as for 7 * 10^-6, but confirming it exactly formed
+    # 21.8-million-bit powers and took about 10 s before the same step-316
+    # refusal
+    sp = space_by_name("zd:2")
+    E1 = ExpansionSet.of([sp.coset(sp.group.element((1, 0)))])
+    epsilon = Fraction(7 * 10**60 + 1, 10**66)
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError) as exc:
+        doubling_from_failure(sp, E1, epsilon, FolnerSearchResult())
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == (
+        "the least n with xi^n >= 2 is near 99022; checking it exactly would form "
+        "21784840-bit powers, above the limit of 2000000 bits"
+    )
+
+
+def _compose_every_product(space, E, E2):
+    """The composition as first written: one coset per product, duplicates
+    included; the reference for ``_compose_sets``."""
+    return ExpansionSet.of(
+        space.coset(g * ep.rep) for e in E for g in e.representatives() for ep in E2
+    )
+
+
+@pytest.mark.parametrize("name", ["free:2", "zd:2", "hyperoct:2"])
+def test_composition_keeps_the_keys_and_representatives(name):
+    sp = space_by_name(name)
+    E2 = unit_cosets(sp)
+    E = reference = E2
+    for _ in range(3):
+        E, reference = _compose_sets(sp, E, E2), _compose_every_product(sp, reference, E2)
+        assert [(c.key, c.rep) for c in E] == [(c.key, c.rep) for c in reference]
 
 
 def _least_doubling_power(xi):
