@@ -12,7 +12,9 @@ from cellspaces import (
     Decomposition,
     ExpansionSet,
     FAMeasure,
+    GroupAsSpace,
     HaremMatching,
+    PermutationGroup,
     ScopeMismatchError,
     UncertifiedWindowError,
     Window,
@@ -97,6 +99,16 @@ def test_uncertified_window_names_the_certifying_halo(name, core, halo, reps, ra
     with pytest.raises(UncertifiedWindowError):
         build_graph(sp, E, sp.ball_window(core, radius - 1))
     build_graph(sp, E, sp.ball_window(core, radius))
+
+
+def test_uncertified_window_without_a_window_metric_names_no_halo():
+    # certifying_halo_note knows the metric of Z^d and F_k only; on S_4 the
+    # refusal names the escaping image and no radius
+    sp = GroupAsSpace(PermutationGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)]))
+    E = ExpansionSet.of([sp.coset(g) for g in sp.group.ball(1)])
+    with pytest.raises(UncertifiedWindowError) as exc:
+        build_graph(sp, E, sp.ball_window(1, 1))
+    assert str(exc.value).endswith("escapes the window halo")
 
 
 def brute_force_graph(space, E, window) -> tuple:
