@@ -5,15 +5,17 @@ JSON reports. Outputs are byte-deterministic for identical configs: every
 report embeds the config digest and the coordinate rule of the space, all
 enumerations are sorted, and rationals are serialized exactly as "p/q".
 
-Exit codes: 0 = pass/complete, 1 = a usage error, an unreadable config or any
-``CellSpacesError`` (config errors and an unwritable ``--out`` included), and
-2 exactly when a property violation's witness is written: to
-``<out>.witness.json``, or to stdout after the report when there is no
-``--out``. Any other exception is a defect and shows as a traceback. A window,
-family set or graph side above ``groups.MAX_ENUMERATED_POINTS`` is a config
-error, refused by the library: by ``group_window``, ``boxes`` and ``balls``
-from closed-form sizes, else by the walk's own count. Only an explicit graph
-side is checked here.
+Exit codes: 0 = pass/complete, 1 = a usage error or a refusal, and 2 exactly
+when a property violation's witness is written: to ``<out>.witness.json``, or
+to stdout after the report when there is no ``--out``. A refusal is any
+``CellSpacesError``: config errors, an unreadable config and a failed write
+of ``--out`` or stdout included. It prints one ``error:`` line to stderr and
+leaves no report file; what stdout took before it failed stays written. Any
+other exception is a defect and shows as a traceback. A window, family set
+or graph side above ``groups.MAX_ENUMERATED_POINTS`` is a config error,
+refused by the library: by ``group_window``, ``boxes`` and ``balls`` from
+closed-form sizes, else by the walk's own count. Only an explicit graph side
+is checked here.
 
 Config schema (JSON, one object)::
 
