@@ -22,8 +22,8 @@ from .spaces import CellSpace, Coset, ExpansionSet, Window, fiber_in_window, poi
 DOUBLING_MAX_PRODUCTS = 100_000
 # n is confirmed by integer powers of about n * bit_length(numerator of xi)
 # bits, whose cost grows faster than their size: with CPython 3.11 on one core,
-# 2.7 million bits took 0.3 s and 21.8 million (an epsilon of 67-digit terms,
-# whose composition is refused at step 316 anyway) 10 s
+# 1.2 million bits took 0.08 s, 2.7 million 0.3 s and 21.8 million (an epsilon
+# of 67-digit terms, whose composition is refused at step 316 anyway) 10 s
 DOUBLING_MAX_POWER_BITS = 2_000_000
 
 
@@ -163,7 +163,8 @@ def doubling_from_failure(
 def _doubling_exponent(xi: Fraction, cap: int) -> Optional[int]:
     """The least n >= 1 with xi^n >= 2, for xi > 1, or None when it is above
     ``cap``. A float estimate, confirmed by comparing exact integer powers;
-    only an estimate that rounds across an integer is moved, by one."""
+    only an estimate that rounds across an integer is moved, by one. Powers
+    above ``DOUBLING_MAX_POWER_BITS`` are refused before they are formed."""
     if xi >= 2:
         return 1
     p, q = xi.numerator, xi.denominator
