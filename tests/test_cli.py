@@ -41,7 +41,7 @@ def test_missing_config_exits_1(tmp_path, capsys):
     # the config is refused in main's one handler, as every other input is
     path = tmp_path / "nope.json"
     assert run(["axioms", "--config", str(path)]) == 1
-    reason = f"[Errno 2] No such file or directory: {str(path)!r}"
+    reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(path)!r}"
     assert capsys.readouterr() == ("", f"error: cannot read config: {reason}\n")
 
 
