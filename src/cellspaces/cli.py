@@ -68,7 +68,9 @@ from .paradox import (
     two_to_one_from_matching,
     verify_decomposition,
 )
-from .spaces import CellSpace, CheckReport, Window, check_axiom_cost, verify_axioms
+from .spaces import (
+    CellSpace, CheckReport, TranslationSpace, Window, check_axiom_cost, verify_axioms
+)
 from .transfer import (
     affine_dilations,
     affine_translations,
@@ -128,7 +130,7 @@ def _window(space: CellSpace, cfg: dict) -> Window:
         if not space.is_finite:
             raise ConfigError("infinite space needs a window block")
         return space.full_window()
-    if not hasattr(space, "ball_window"):
+    if not isinstance(space, TranslationSpace):
         raise ConfigError(f"{space.name} takes no window block: its window is the whole space")
     core_r = _natural(wcfg.get("core_radius"), "core_radius")
     halo_r = _natural(wcfg.get("halo_radius"), "halo_radius")

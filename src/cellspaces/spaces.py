@@ -260,8 +260,8 @@ class CellSpace:
         fiber), where image(k) is the key of ``m |> coset`` and fiber(k) the
         keys of ``exact_preimage_point(coset, m)``, m the point of key k.
 
-        This default calls the element-level methods; spaces whose points
-        are the elements of their point group compute on payloads.
+        This default calls the element-level methods; ``TranslationSpace``
+        computes on payloads.
         """
         P = self.point_group
         point = (lambda k: k) if P is None else P.element
@@ -494,13 +494,36 @@ class FiniteSpace(CellSpace):
         return list(self._points)
 
 
-class GroupAsSpace(CellSpace):
-    """M = G acting on itself by left multiplication; g_{e,g} = g.
+class TranslationSpace(CellSpace):
+    """Coordinates in a complement subgroup P, the point group: ``m |> gG0 = m t``
+    for t the P-part of gG0 (``translation`` gives its payload), and the fiber
+    of a is ``a t^-1``, computed here on P's payloads. ``semi_action`` stays the
+    general formula, through which the verifiers recheck every image."""
 
-    Here G0 = {e} and the semi-action is right multiplication.
-    """
+    def translation(self, coset: Coset):
+        raise NotImplementedError
+
+    def exact_preimage_point(self, coset: Coset, a) -> list:
+        P = a.group
+        return [GroupElement(P, P._mul(a.payload, P._inv(self.translation(coset))))]
+
+    def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
+        P, t = self.point_group, self.translation(coset)
+        t_inv = P._inv(t)
+        return (lambda p: P._mul(p, t), lambda p: [P._mul(p, t_inv)])
+
+    def ball_window(self, core_radius: int, halo_radius: int) -> Window:
+        """``group_window`` on the point group: boxes of Z^d, or balls."""
+        return group_window(self.point_group, core_radius, halo_radius)
+
+
+class GroupAsSpace(TranslationSpace):
+    """M = G acting on itself by left multiplication: g_{e,g} = g, G0 = {e}, P = G."""
 
     coordinate_rule = "g_{e,m} = m (semi-action is right multiplication)"
+    # bench/layers.py patches each class's own attribute, so both are bound here
+    exact_preimage_point = TranslationSpace.exact_preimage_point
+    ball_window = TranslationSpace.ball_window
 
     def __init__(self, group: Group, name: Optional[str] = None):
         super().__init__(group, group.identity(), [group.identity()])
@@ -512,6 +535,9 @@ class GroupAsSpace(CellSpace):
     def coord(self, m) -> GroupElement:
         return m
 
+    def translation(self, coset: Coset):
+        return coset.rep.payload
+
     @property
     def is_finite(self) -> bool:
         return self.group.is_finite
@@ -519,36 +545,18 @@ class GroupAsSpace(CellSpace):
     def points(self) -> list:
         return self.group.elements()
 
-    def exact_preimage_point(self, coset: Coset, a) -> list:
-        # m * g = a, and G0 is trivial, so the preimage is a single point
-        return [a * coset.rep.inverse()]
 
-    def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
-        G, g = self.group, coset.rep.payload
-        g_inv = G._inv(g)
-        return (lambda p: G._mul(p, g), lambda p: [G._mul(p, g_inv)])
-
-    def ball_window(self, core_radius: int, halo_radius: int) -> Window:
-        """``group_window`` on the point group: boxes of Z^d, or balls."""
-        return group_window(self.point_group, core_radius, halo_radius)
-
-
-class SemidirectCellSpace(CellSpace):
-    """Cell space over G0 x| H whose points are the elements of H.
-
-    The left action is ``(g0,h) . m = h tau(g0)(m)``, the origin is e and the
-    coordinates are ``(e, m)``; the stabilizer of e is G0 x {e}, since each
-    tau(g0) fixes e.
-
-    With these coordinates the general semi-action collapses to
-    ``m |> (g0,t)G0 = (e,m)(g0,t) . e = m t``, and the fiber of a under
-    ``(g0,t)G0`` is the single point ``a t^-1``; ``key_maps`` computes both
-    on H payloads. They hold only for the coordinates ``(e, m)``: twisted
-    coordinates ``(sigma(m), m)`` give ``m tau(sigma(m))(t)`` and up to |G0|
-    points per fiber.
-    """
+class SemidirectCellSpace(TranslationSpace):
+    """Cell space over G0 x| H whose points are the elements of P = H: the left
+    action is ``(g0,h) . m = h tau(g0)(m)``, the origin e, the coordinates
+    ``(e, m)`` and the stabilizer G0 x {e}, as each tau(g0) fixes e. So
+    ``m |> (g0,t)G0 = (e,m)(g0,t) . e = m t``; twisted coordinates
+    ``(sigma(m), m)`` would give ``m tau(sigma(m))(t)``, no right translation."""
 
     coordinate_rule = "g_{m0,m} = (e, h_{m0,m})"
+    # bench/layers.py patches each class's own attribute, so both are bound here
+    exact_preimage_point = TranslationSpace.exact_preimage_point
+    ball_window = TranslationSpace.ball_window
 
     def __init__(self, sd: SemidirectProduct, name: str = "semidirect"):
         self.sd = sd
@@ -564,15 +572,5 @@ class SemidirectCellSpace(CellSpace):
     def coord(self, m) -> GroupElement:
         return self.sd.pair(self.sd.G0.identity(), m)
 
-    def exact_preimage_point(self, coset: Coset, a) -> list:
-        H = self.sd.H
-        return [GroupElement(H, H._mul(a.payload, H._inv(coset.rep.payload[1])))]
-
-    def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
-        H, t = self.sd.H, coset.rep.payload[1]
-        t_inv = H._inv(t)
-        return (lambda p: H._mul(p, t), lambda p: [H._mul(p, t_inv)])
-
-    def ball_window(self, core_radius: int, halo_radius: int) -> Window:
-        """``group_window`` on the point group: boxes of Z^d, or balls."""
-        return group_window(self.point_group, core_radius, halo_radius)
+    def translation(self, coset: Coset):
+        return coset.rep.payload[1]
