@@ -45,7 +45,8 @@ def element(group: Group, data) -> GroupElement:
         return group.word(data)
     payload = to_tuple(data)
     if not group.is_payload(payload):
-        raise ConstructionError(f"{data!r} is not an element of {group.signature}")
+        # a semidirect signature ends in its twist, too long for one line
+        raise ConstructionError(f"{data!r} is not an element of {group.signature[:3]}")
     return group.element(payload)
 
 

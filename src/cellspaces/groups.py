@@ -481,7 +481,8 @@ class SemidirectProduct(Group):
 
     ``tau`` is a finite table mapping ``(g0 payload, H-generator index)`` to
     an H payload, extended multiplicatively over generator words. G0 must be
-    finite; the homomorphism property is spot-checked at construction.
+    finite; the homomorphism property is spot-checked at construction. The
+    signature names the twist by the images of G0's generators, which fix it.
     """
 
     backend = "semidirect"
@@ -494,9 +495,11 @@ class SemidirectProduct(Group):
         self.G0 = g0_group
         self.H = h_group
         self.tau = dict(tau)
-        self.signature = ("semidirect", g0_group.signature, h_group.signature)
         self._e0 = g0_group._identity()
         self._validate()
+        n, gens = len(h_group.positive_generators()), g0_group._generator_payloads()
+        twist = tuple((g, tuple(self.tau[(g, i)] for i in range(n))) for g in gens)
+        self.signature = ("semidirect", g0_group.signature, h_group.signature, twist)
 
     def tau_apply(self, g0_payload: Payload, h: Payload) -> Payload:
         """tau(g0) applied to the H element with payload ``h``, as a payload."""

@@ -105,6 +105,24 @@ def test_separately_built_groups_share_elements():
     assert z1.element((1, 2)) * z2.element((0, -2)) == z2.element((1, 0))
 
 
+def test_semidirect_products_with_different_twists_share_no_elements():
+    # B_2 x| Z^2 by the signed permutations, and by the trivial twist that
+    # fixes e1 and e2: the same factors, two different laws
+    g0, lattice = SignedPermutationGroup(2), FreeAbelianGroup(2)
+    a = SemidirectProduct(g0, lattice, hyperoctahedral_tau(g0, lattice))
+    trivial = {(g.payload, i): ((1, 0), (0, 1))[i] for g in g0.elements() for i in range(2)}
+    b = SemidirectProduct(g0, lattice, trivial)
+    with pytest.raises(BackendMismatchError):
+        a.element(((-1, 2), (0, 0))) * b.element(((1, 2), (1, 0)))
+    assert a.element(((-1, 2), (1, 0))) != b.element(((-1, 2), (1, 0)))
+    # separately built hyperoct:2 spaces have one law, so their elements mix
+    c, d = space_by_name("hyperoct:2").group, space_by_name("hyperoct:2").group
+    assert c.signature == d.signature
+    x, y = c.element(((-1, 2), (0, 0))), d.element(((1, 2), (1, 0)))
+    assert (x * y).payload == ((-1, 2), (-1, 0))
+    assert c.element(((-1, 2), (1, 0))) == d.element(((-1, 2), (1, 0)))
+
+
 def test_ball_enumeration_is_deterministic():
     g = FreeGroup(2)
     first = [e.payload for e in g.ball(3)]
