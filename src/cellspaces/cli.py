@@ -1,9 +1,10 @@
 """Batch front end.
 
-Reads a JSON experiment config, dispatches to the library, and writes CSV or
-JSON reports. Outputs are byte-deterministic for identical configs: every
-report embeds the config digest and the coordinate rule of the space, all
-enumerations are sorted, and rationals are serialized exactly as "p/q".
+Reads a JSON experiment config, dispatches to the library, and writes JSON
+reports, or CSV ones for ``ratios``. Outputs are byte-deterministic for
+identical configs: every report embeds the config digest and the coordinate
+rule of the space, all enumerations are sorted, and rationals are serialized
+exactly as "p/q".
 
 Exit codes: 0 = pass/complete, 1 = a usage error or a refusal, and 2 exactly
 when a property violation's witness is written: to ``<out>.witness.json``, or
@@ -568,7 +569,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="json")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
+    seed_help = "only written to the report header: no command draws a random number"
+    parser.add_argument("--seed", type=int, default=None, help=seed_help)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -576,6 +578,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     handler = COMMANDS[args.command]
     try:
+        if args.format == "csv" and handler is not _cmd_ratios:
+            raise ConfigError(f"--format csv is for ratios only; {args.command} writes JSON")
         cfg_bytes, cfg = _load(args.config, "config")
         if not isinstance(cfg, dict):
             raise ConfigError(f"config must be a JSON object, got {cfg!r}")
@@ -589,10 +593,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError("config needs a space block")
         payload, witness = handler(space, cfg)
         header = _header(cfg_bytes, space, args.seed)
-        rows = payload.get("records")
         written: list = []
-        if args.format == "csv" and rows is not None:
-            _write(_csv(header, rows), args.out, written)
+        if args.format == "csv":
+            _write(_csv(header, payload["records"]), args.out, written)
         else:
             report = {"header": header, "command": args.command, "result": payload}
             _write(_json(report), args.out, written)

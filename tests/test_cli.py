@@ -53,6 +53,21 @@ def test_config_that_is_not_json_exits_1(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: cannot read config: {reason}\n")
 
 
+@pytest.mark.parametrize("command", ["paradox", "describe"])
+def test_csv_format_outside_ratios_exits_1_before_any_work(tmp_path, capsys, command):
+    # only ratios writes CSV; the other commands once wrote JSON and exited 0
+    cfg = write(tmp_path, "p.json", {
+        "space": {"name": "free:2"},
+        "window": {"core_radius": 1, "halo_radius": 3},
+        "E": [[], [1], [-1], [2], [-2]],
+    })
+    out = tmp_path / "o.csv"
+    assert run([command, "--config", cfg, "--format", "csv", "--out", str(out)]) == 1
+    message = f"--format csv is for ratios only; {command} writes JSON"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_exit_1_is_exactly_a_package_error(tmp_path, monkeypatch):
     # main catches CellSpacesError alone: config refusals are package errors,
     # and an untyped exception is a defect that must surface as a traceback
