@@ -276,8 +276,8 @@ def test_orbit_ball_matches_the_group_ball(name):
 
 
 def _check_payload_maps(sp, ms, reps):
-    # key_maps computes m t on H payloads; the general formula (e,m)(g0,t) . e
-    # is the reference
+    # TranslationSpace computes m t on the point group's payloads; the general
+    # formula g_{m0,m} g . m0 is the reference
     for g in reps:
         c = sp.coset(g)
         image, fiber = sp.key_maps(c)
@@ -310,6 +310,23 @@ def test_semidirect_semi_action_matches_the_general_formula_over_a_free_h():
     words = sd.H.ball(2)
     assert any(m * t != t * m for m in words for t in words)
     _check_payload_maps(sp, words, [sd.pair(g, t) for g in sd.G0.elements() for t in words])
+
+
+@pytest.mark.parametrize(
+    "make, points",
+    [
+        (lambda: space_by_name("free:2"), lambda sp: sp.group.ball(2)),
+        (lambda: space_by_name("zd:2"), lambda sp: sp.group.boxes([(-2, 3)])[0]),
+        (lambda: GroupAsSpace(PermutationGroup(3, [(1, 0, 2), (1, 2, 0)])), GroupAsSpace.points),
+        (lambda: GroupAsSpace(hyperoct_space(2).group), lambda sp: sp.group.ball(2)),
+    ],
+    ids=["free:2", "zd:2", "S3", "hyperoct:2-group"],
+)
+def test_group_as_space_semi_action_matches_the_general_formula(make, points):
+    # the last space's points are pairs (g0, t) of G0 x| H, multiplied by G's law
+    sp = make()
+    ms = points(sp)
+    _check_payload_maps(sp, ms, ms)
 
 
 @pytest.mark.parametrize(
