@@ -51,7 +51,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import repeat
 from typing import Optional, Sequence
 
 from . import codec
@@ -233,68 +232,102 @@ def _violation(outcome, names_left: Sequence, names_right: Sequence) -> dict:
     }
 
 
-# with ``indent``, json.dumps runs the pure-Python encoder; ``_json`` writes
-# the same bytes with one join per list or dict and hands every other leaf
-# (bool, None, float, ``default=str`` objects, a dict with a non-str key) to
-# this encoder
+# with ``indent``, json.dumps runs the pure-Python encoder, which builds each
+# nested level's text and copies it into the level above; ``_json`` writes the
+# same bytes as fragments on one list, joined once, and hands every leaf that
+# is not a str or an int (bool, None, float, ``default=str`` objects, a dict
+# with a non-str key) to this encoder
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=str)
 _encode_str = json.encoder.encode_basestring_ascii
 _int_str = int.__repr__
 _all_ints = frozenset([int]).issuperset
 _all_strs = frozenset([str]).issuperset
+_SEQUENCES = (list, tuple)
 
 
-def _dump(value, nl: str) -> str:
-    """``value`` as json.dumps writes it with ``_ENCODER``'s settings, nested
-    at the indentation that ``nl``, a newline and that indentation, gives."""
+def _dump(value, nl: str, out: list) -> None:
+    """Append to ``out`` the fragments of ``value`` as json.dumps writes it
+    with ``_ENCODER``'s settings, nested at the indentation that ``nl``, a
+    newline and that indentation, gives."""
     kind = type(value)
     if kind is str:
-        return _encode_str(value)
+        out.append(_encode_str(value))
+        return
     if kind is int:
-        return _int_str(value)
+        out.append(_int_str(value))
+        return
     inner = nl + "  "
     if isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         if _all_strs(map(type, value)):
-            items = [_encode_str(k) + ": " + _dump(value[k], inner) for k in sorted(value)]
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
-    elif isinstance(value, (list, tuple)):
+            sep = "{" + inner
+            for k in sorted(value):
+                out.append(sep + _encode_str(k) + ": ")
+                _dump(value[k], inner, out)
+                sep = "," + inner
+            out.append(nl + "}")
+            return
+    elif isinstance(value, _SEQUENCES):
         if not value:
-            return "[]"
-        if _all_ints(map(type, value)):
-            items = map(_int_str, value)
+            out.append("[]")
+        elif _all_ints(map(type, value)):
+            out.append("[" + inner + ("," + inner).join(map(_int_str, value)) + nl + "]")
         else:
-            items = _int_list_dicts(value, inner) or map(_dump, value, repeat(inner))
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+            if not _points(value, inner, out):
+                sep = "[" + inner
+                for v in value:
+                    out.append(sep)
+                    _dump(v, inner, out)
+                    sep = "," + inner
+            out.append(nl + "]")
+        return
     # JSON strings escape every newline, so re-indenting at "\n" is safe
-    return _ENCODER.encode(value).replace("\n", nl)
+    out.append(_ENCODER.encode(value).replace("\n", nl))
 
 
-def _int_list_dicts(values, nl: str) -> Optional[list]:
-    """Each of ``values`` as ``_dump`` writes it at ``nl``, when every one is
-    a dict of one str key whose value is a list of ints, as the encoded
-    points ``{"g": [1, -2]}`` and ``{"g": []}`` are; otherwise None."""
-    if not all(type(v) is dict and len(v) == 1 for v in values):
-        return None
-    pairs = [item for v in values for item in v.items()]
-    if not all(type(k) is str and type(w) is list and _all_ints(map(type, w)) for k, w in pairs):
-        return None
+def _points(values, nl: str, out: list) -> bool:
+    """Append to ``out`` the items of the list ``values`` as ``_dump`` writes
+    them at ``nl``, the list's opening bracket or a separator before each,
+    when every one is a dict of one str key whose value is a list or tuple
+    of ints, as the encoded points ``{"g": (1, -2)}`` and ``{"g": ()}`` are.
+    Otherwise append nothing and return False."""
+    start = len(out)
     nl2 = nl + "  "
-    nl4 = nl2 + "  "
-    sep = "," + nl4
-    return [
-        "{" + nl2 + _encode_str(k)
-        + (": [" + nl4 + sep.join(map(_int_str, w)) + nl2 + "]" if w else ": []")
-        + nl + "}"
-        for k, w in pairs
-    ]
+    sep = "," + nl2 + "  "
+    texts = {}  # key -> (the text of a point with letters, with "%s" for them; of an empty one)
+    for v in values:
+        if type(v) is not dict or len(v) != 1:
+            break
+        (k, w), = v.items()
+        if type(w) not in _SEQUENCES or not _all_ints(map(type, w)):
+            break
+        try:
+            full, empty = texts[k]
+        except KeyError:
+            if type(k) is not str:
+                break
+            head = "," + nl + "{" + nl2 + _encode_str(k)
+            tail = nl2 + "]" + nl + "}"
+            full, empty = texts[k] = (
+                head.replace("%", "%%") + ": [" + nl2 + "  %s" + tail, head + ": []" + nl + "}"
+            )
+        out.append(full % sep.join(map(_int_str, w)) if w else empty)
+    else:
+        out[start] = "[" + out[start][1:]  # the first point opens the list
+        return True
+    del out[start:]
+    return False
 
 
 def _json(document) -> str:
     """The bytes of ``json.dumps(document, sort_keys=True, indent=2,
     default=str) + "\\n"``: the one writer of every report and witness."""
-    return _dump(document, "\n") + "\n"
+    out = []
+    _dump(document, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv(header: dict, rows: list) -> str:

@@ -51,20 +51,23 @@ def element(group: Group, data) -> GroupElement:
 
 
 def encode_point(m):
+    """``m`` as a report writes it; a payload or tuple point is passed as it
+    is, not copied, since JSON writes a tuple as a list."""
     if isinstance(m, GroupElement):
-        return {"g": list(m.payload)}
+        return {"g": m.payload}
     if isinstance(m, tuple):
-        return {"t": list(m)}
+        return {"t": m}
     return m
 
 
 def decode_point(space: CellSpace, data):
     """The point of ``space`` that ``encode_point`` wrote as ``data``, also
-    reading a bare payload list; anything else is a ``ConstructionError``."""
+    reading a bare payload list, or a payload tuple as ``encode_point`` gives
+    it before JSON; anything else is a ``ConstructionError``."""
     if space.point_group is not None:
         if isinstance(data, dict) and "g" in data:
             data = data["g"]
-        if not isinstance(data, list):
+        if not isinstance(data, (list, tuple)):
             raise ConstructionError(f"{data!r} is not a point of {space.name}")
         return element(space.point_group, data)
     if isinstance(data, dict) and "t" in data:

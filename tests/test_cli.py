@@ -863,19 +863,37 @@ def test_report_writer_matches_json_dumps(doc):
 
 def test_report_writer_writes_a_point_list_in_one_call(monkeypatch):
     """A list of encoded points, the identity among them, is written without
-    a recursive call per point."""
+    a recursive call per point, whether a payload is a list or the tuple that
+    ``encode_point`` gives."""
     calls = [0]
     dump = cli._dump
 
-    def counted(value, nl):
+    def counted(value, nl, out):
         calls[0] += 1
-        return dump(value, nl)
+        return dump(value, nl, out)
 
     monkeypatch.setattr(cli, "_dump", counted)
-    points = [{"g": []}, {"g": [1, -2]}, {"t": [3]}] * 50
+    points = [{"g": []}, {"g": [1, -2]}, {"t": [3]}, {"g": (1, -2)}, {"g": ()}] * 30
     text = report_text(points)
     assert text == json.dumps(points, sort_keys=True, indent=2) + "\n"
     assert calls[0] == 1
+
+
+def test_full_size_reports_keep_the_bytes_of_json_dumps(tmp_path, capsys):
+    """A free:2 paradox report of 4,373 halo points, and a hyperoct:2
+    decomposition with nested coset keys and Z² payloads, are written as
+    json.dumps writes them."""
+    cfg = write(tmp_path, "p.json", {
+        "space": {"name": "free:2"},
+        "window": {"core_radius": 5, "halo_radius": 7},
+        "E": [[], [1], [-1], [2], [-2]],
+    })
+    assert run(["paradox", "--config", cfg]) == 0
+    text = capsys.readouterr().out
+    assert len(json.loads(text)["result"]["decomposition"]["scope"]["halo"]) == 4373
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    _, doc = _hyperoct_decomposition(space_by_name("hyperoct:2"))
+    assert report_text(doc) == json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ import random
 import networkx as nx
 
 from cellspaces import HaremMatching, HaremViolation, solve_harem
-import harem_reference
 from oracles import perfect_harem_exists
 
 
@@ -141,21 +140,18 @@ def _random_instance(rng):
     return n_left, n_right, [sorted(a) for a in adjacency], k, right_required
 
 
-def test_merged_solver_matches_two_network_reference():
-    """Matchings equal the reference's. Each witness is checked against its
-    own Hall inequality instead, since the reference's witness can break it
-    when right vertices are optional."""
+def test_merged_solver_agrees_with_networkx_on_random_instances():
+    """Each verdict's type is networkx's feasibility. A matching is checked
+    for validity, and a witness against its own Hall inequality, a right
+    witness holding required vertices only."""
     rng = random.Random(31)
     outcomes = set()
     for _ in range(2000):
         n_left, n_right, adjacency, k, right_required = _random_instance(rng)
         got = solve_harem(n_left, n_right, adjacency, k, right_required=right_required)
-        want = harem_reference.solve_harem(
-            n_left, n_right, adjacency, k, right_required=right_required
-        )
-        assert type(got) is type(want), (n_left, n_right, adjacency, k, right_required)
-        if isinstance(got, HaremMatching):
-            assert got == want, (n_left, n_right, adjacency, k, right_required)
+        required = right_required or [True] * n_right
+        if _networkx_feasible(n_left, n_right, adjacency, k, required):
+            check_matching(n_left, n_right, adjacency, k, got, right_required)
         else:
             check_violation(n_left, n_right, adjacency, k, got, right_required)
         outcomes.add((type(got), right_required is None, n_left > 100))

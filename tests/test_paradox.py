@@ -258,12 +258,14 @@ def test_tarski_contradiction_doubles_mass():
 
 def test_decomposition_json_round_trip():
     sp, E, w, graph, ttm, D = run_pipeline()
-    data = json.loads(json.dumps(decomposition_to_json(sp, D)))
-    back = decomposition_from_json(sp, data)
-    assert [e.key for e in back.E] == [e.key for e in D.E]
-    assert back.A == D.A
-    assert back.B == D.B
-    assert back.scope.core == D.scope.core
+    doc = decomposition_to_json(sp, D)
+    # in process, the document holds the payload tuples that encode_point passes on
+    for data in (json.loads(json.dumps(doc)), doc):
+        back = decomposition_from_json(sp, data)
+        assert [e.key for e in back.E] == [e.key for e in D.E]
+        assert back.A == D.A
+        assert back.B == D.B
+        assert back.scope.core == D.scope.core
 
 
 def test_mutated_decomposition_fails_with_witness():
