@@ -252,39 +252,31 @@ def _dump(value, nl: str, out: list) -> None:
     kind = type(value)
     if kind is str:
         out.append(_encode_str(value))
-        return
-    if kind is int:
+    elif kind is int:
         out.append(_int_str(value))
-        return
-    inner = nl + "  "
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        if _all_strs(map(type, value)):
-            sep = "{" + inner
-            for k in sorted(value):
-                out.append(sep + _encode_str(k) + ": ")
-                _dump(value[k], inner, out)
-                sep = "," + inner
-            out.append(nl + "}")
-            return
-    elif isinstance(value, _SEQUENCES):
-        if not value:
-            out.append("[]")
-        elif _all_ints(map(type, value)):
+    elif isinstance(value, _SEQUENCES) and value:
+        inner = nl + "  "
+        if _all_ints(map(type, value)):
             out.append("[" + inner + ("," + inner).join(map(_int_str, value)) + nl + "]")
-        else:
-            if not _points(value, inner, out):
-                sep = "[" + inner
-                for v in value:
-                    out.append(sep)
-                    _dump(v, inner, out)
-                    sep = "," + inner
-            out.append(nl + "]")
-        return
-    # JSON strings escape every newline, so re-indenting at "\n" is safe
-    out.append(_ENCODER.encode(value).replace("\n", nl))
+            return
+        if not _points(value, inner, out):
+            sep = "[" + inner
+            for v in value:
+                out.append(sep)
+                _dump(v, inner, out)
+                sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict) and value and _all_strs(map(type, value)):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(value):
+            out.append(sep + _encode_str(k) + ": ")
+            _dump(value[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        # JSON strings escape every newline, so re-indenting at "\n" is safe
+        out.append(_ENCODER.encode(value).replace("\n", nl))
 
 
 def _points(values, nl: str, out: list) -> bool:
