@@ -1,8 +1,18 @@
+import hashlib
 import random
 
 import networkx as nx
 
-from cellspaces import HaremMatching, HaremViolation, solve_harem
+from cellspaces import (
+    ExpansionSet,
+    HaremMatching,
+    HaremViolation,
+    build_graph,
+    codec,
+    harem_matching,
+    solve_harem,
+    space_by_name,
+)
 from oracles import perfect_harem_exists
 
 
@@ -238,3 +248,47 @@ def test_optional_right_witness_breaks_hall():
     # neighbour is the optional right vertex 1
     outcome = solve_harem(1, 2, [[1]], 1, right_required=[True, False])
     check_violation(1, 2, [[1]], 1, outcome, [True, False])
+
+
+def _workload_graph(name, radius, reps):
+    """The harem graph of ``name`` on the window of core ``radius`` and halo
+    ``radius + 2``, with E the cosets of the representatives ``reps``."""
+    sp = space_by_name(name)
+    E = ExpansionSet.of([sp.coset(codec.element(sp.group, d)) for d in reps])
+    return build_graph(sp, E, sp.ball_window(radius, radius + 2))
+
+
+def _pinned_outcomes():
+    """Seeded solver inputs of every shape, and their outcomes."""
+    rng = random.Random(2525)
+    for _ in range(600):
+        n_left, n_right, adjacency, k, right_required = _random_instance(rng)
+        yield solve_harem(n_left, n_right, adjacency, k, right_required=right_required)
+    for n_left in (40, 400, 3000):
+        for plant in ("whole", "cut", "none"):
+            for partial in (False, True):
+                k = rng.choice([1, 2, 3])
+                n_right, adjacency, right_required = _large_instance(rng, n_left, k, plant, partial)
+                yield solve_harem(n_left, n_right, adjacency, k, right_required=right_required)
+    # free:2 r = 4 has a (1,2)-matching; hyperoct:2 c = 12 fails after four
+    # augmenting phases
+    free2 = _workload_graph("free:2", 4, [[], [1], [-1], [2], [-2], [1, 2]])
+    identity = list(space_by_name("hyperoct:2").sd.G0.identity().payload)
+    vectors = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, -1)]
+    hyperoct2 = _workload_graph("hyperoct:2", 12, [[identity, list(v)] for v in vectors])
+    for graph in (free2, hyperoct2):
+        yield harem_matching(graph, 2)
+
+
+def test_solver_outcomes_are_pinned():
+    """Every matching and witness, byte for byte. The digest was computed with
+    the solver whose phases ran a forward level BFS from the source, before
+    the phases were driven from sink distances: the two must find the same
+    augmenting paths in the same order."""
+    digest = hashlib.sha256()
+    kinds = set()
+    for outcome in _pinned_outcomes():
+        digest.update(repr(outcome).encode())
+        kinds.add(type(outcome))
+    assert kinds == {HaremMatching, HaremViolation}
+    assert digest.hexdigest() == "65d13f42a8abf59cc1bdb4d5462d8a483d7f9f3eedf6c8e6f49cce1d531e417a"
