@@ -3,7 +3,10 @@ import random
 
 import networkx as nx
 
+import pytest
+
 from cellspaces import (
+    ConstructionError,
     ExpansionSet,
     HaremMatching,
     HaremViolation,
@@ -13,6 +16,7 @@ from cellspaces import (
     solve_harem,
     space_by_name,
 )
+from cellspaces.matching import Dinic
 from oracles import perfect_harem_exists
 
 
@@ -173,6 +177,60 @@ def test_long_augmenting_path_does_not_recurse():
     adjacency = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
     outcome = solve_harem(n, n, adjacency, 1)
     check_matching(n, n, adjacency, 1, outcome)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 2, [[0, 0, 1]], 2), "left vertex 0 repeats a right vertex in [0, 0, 1]"),
+        (
+            (2, 2, [[0], [2]], 1, [True, False]),
+            "left vertex 1 has a right vertex outside range(2) in [2]",
+        ),
+        ((2, 2, [[0], [-1]], 1), "left vertex 1 has a right vertex outside range(2) in [-1]"),
+        ((2, 2, [[0, 1]], 1), "adjacency has 1 rows for 2 left vertices"),
+        ((1, 2, [[0, 1]], 2, [True]), "right_required has 1 entries for 2 right vertices"),
+    ],
+    ids=["repeated-right", "right-too-large", "right-negative", "short-adjacency", "short-required"],
+)
+def test_malformed_input_is_refused(args, message):
+    with pytest.raises(ConstructionError) as info:
+        solve_harem(*args)
+    assert str(info.value) == message
+
+
+def _random_network(rng):
+    """A random capacitated digraph with distinct arcs and no loops, as
+    (n, arcs, s, t); some arcs are unbounded."""
+    n = rng.randint(2, 14)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = rng.sample(pairs, rng.randint(0, min(len(pairs), 4 * n)))
+    arcs = [(u, v, rng.choice([1, 2, 3, 5, 10**18])) for u, v in chosen]
+    s, t = rng.sample(range(n), 2)
+    return n, arcs, s, t
+
+
+def test_dinic_max_flow_and_min_cut_agree_with_networkx():
+    """The flow value is networkx's, and the vertices that the residual graph
+    reaches from s, which the Hall witness reads, are a minimum cut: the arcs
+    leaving them carry the whole flow's capacity."""
+    rng = random.Random(41)
+    positive = 0
+    for _ in range(400):
+        n, arcs, s, t = _random_network(rng)
+        net = Dinic(n)
+        G = nx.DiGraph()
+        G.add_nodes_from(range(n))
+        for u, v, c in arcs:
+            net.add_edge(u, v, c)
+            G.add_edge(u, v, capacity=c)
+        flow = net.max_flow(s, t)
+        assert flow == nx.maximum_flow_value(G, s, t)
+        reach = net.residual_reach(s)
+        assert reach[s] and not reach[t]
+        assert sum(c for u, v, c in arcs if reach[u] and not reach[v]) == flow
+        positive += flow > 0
+    assert positive > 100
 
 
 def _networkx_feasible(n_left, n_right, adjacency, k, right_required):
