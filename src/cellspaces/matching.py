@@ -52,23 +52,27 @@ class Dinic:
         self.adj[v].append(eid + 1)
         return eid
 
-    def _sink_distances(self, s: int, t: int) -> list[int]:
-        """``dist[v]``, the residual distance from v to t, or -1.
+    def distances(self, start: int, stop: int, backwards: bool = False) -> list[int]:
+        """The residual distance from ``start`` to each vertex, or from each
+        vertex to ``start`` if ``backwards``; -1 where unlabelled.
 
-        The BFS runs backwards from t and stops once s is labelled, so every
-        vertex nearer to t than s is labelled, and no vertex farther."""
+        The BFS stops once ``stop`` is labelled, so every vertex nearer than
+        ``stop`` is labelled, and none farther. After ``max_flow(s, t)`` the
+        vertices that ``distances(s, t)`` labels are the source side of a
+        minimum cut."""
         to, cap, adj = self.to, self.cap, self.adj
+        flip = int(backwards)  # adj[v] holds the arcs out of v, and their reverses run into v
         dist = [-1] * self.n
-        dist[t] = 0
-        queue = [t]
+        dist[start] = 0
+        queue = [start]
         for v in queue:
             d = dist[v] + 1
             for eid in adj[v]:
                 u = to[eid]
-                if dist[u] < 0 and cap[eid ^ 1] > 0:
+                if dist[u] < 0 and cap[eid ^ flip] > 0:
                     dist[u] = d
                     queue.append(u)
-            if dist[s] >= 0:
+            if dist[stop] >= 0:
                 break
         return dist
 
@@ -117,26 +121,10 @@ class Dinic:
     def max_flow(self, s: int, t: int) -> int:
         total = 0
         while True:
-            dist = self._sink_distances(s, t)
+            dist = self.distances(t, s, backwards=True)
             if dist[s] < 0:
                 return total
             total += self._blocking_flow(s, t, dist)
-
-    def residual_reach(self, s: int) -> list[bool]:
-        """Whether the residual graph reaches each vertex from s. After
-        ``max_flow(s, t)`` the reached vertices are the source side of a
-        minimum cut."""
-        to, cap, adj = self.to, self.cap, self.adj
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for eid in adj[u]:
-                v = to[eid]
-                if not seen[v] and cap[eid] > 0:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
 
 
 @dataclass(frozen=True)
@@ -221,23 +209,23 @@ def solve_harem(
         adj[v].append(len(to) + 1)
         to += (v, u)
         cap += (c, 0)
-    del arcs  # the flow's own lists peak later
+    del arcs  # freed before the flow, where memory peaks
     if net.max_flow(ss, tt) < k * n_left + n_required:
         # the vertices that the final residual graph reaches from ss are a
         # minimum cut S. If t is in S, every left vertex in S has all its
         # neighbours in S, so the required right vertices outside S have
         # fewer than 1/k as many neighbours. Otherwise the left vertices in
         # S reach fewer than k times as many right vertices.
-        reach = net.residual_reach(ss)
-        if reach[t]:
+        reach = net.distances(ss, tt)
+        if reach[t] >= 0:
             B = tuple(
-                y for y in range(n_right) if right_required[y] and not reach[1 + n_left + y]
+                y for y in range(n_right) if right_required[y] and reach[1 + n_left + y] < 0
             )
             return HaremViolation("right", B, n_left_of(adjacency, B), k)
-        A = tuple(x for x in range(n_left) if reach[1 + x])
+        A = tuple(x for x in range(n_left) if reach[1 + x] >= 0)
         return HaremViolation("left", A, n_right_of(adjacency, A), k)
     pairs = ((x, y) for x, row in enumerate(adjacency) for y in row)
-    return HaremMatching(k, tuple(sorted(compress(pairs, net.cap[1 : 2 * n_mid : 2]))))
+    return HaremMatching(k, tuple(sorted(compress(pairs, cap[1 : 2 * n_mid : 2]))))
 
 
 def n_right_of(adjacency: Sequence[Sequence[int]], A) -> int:

@@ -226,7 +226,7 @@ def test_dinic_max_flow_and_min_cut_agree_with_networkx():
             G.add_edge(u, v, capacity=c)
         flow = net.max_flow(s, t)
         assert flow == nx.maximum_flow_value(G, s, t)
-        reach = net.residual_reach(s)
+        reach = [d >= 0 for d in net.distances(s, t)]
         assert reach[s] and not reach[t]
         assert sum(c for u, v, c in arcs if reach[u] and not reach[v]) == flow
         positive += flow > 0
