@@ -2,7 +2,6 @@ import hashlib
 import random
 
 import networkx as nx
-
 import pytest
 
 from cellspaces import (
@@ -212,8 +211,8 @@ def _random_network(rng):
 
 def test_dinic_max_flow_and_min_cut_agree_with_networkx():
     """The flow value is networkx's, and the vertices that the residual graph
-    reaches from s, which the Hall witness reads, are a minimum cut: the arcs
-    leaving them carry the whole flow's capacity."""
+    reaches from s, which the Hall witness reads, are a minimum cut: the
+    capacity of the arcs leaving them equals the flow."""
     rng = random.Random(41)
     positive = 0
     for _ in range(400):
