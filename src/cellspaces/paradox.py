@@ -30,6 +30,7 @@ from .spaces import (
     CellSpace,
     CheckReport,
     ExpansionSet,
+    TranslationSpace,
     Window,
     certifying_halo_note,
     point_key,
@@ -73,11 +74,21 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
             f"image {space.semi_action(m, e)!r} of {m!r} under {e!r} escapes the window halo"
             + certifying_halo_note(space, E, window.core, "the window")
         )
-    # in_core[-1] stays False: number.get gives -1 for a key outside the halo
-    in_core = [False] * (len(halo_keys) + 1)
-    for k in core_keys:
-        in_core[number[k]] = True
     right = sorted(set().union(*T), key=halo_keys.__getitem__)
+    # a translation m |> c = m t gives y the one fiber point y t^-1, in the core
+    # exactly when y is in c's column; other spaces' fibers may be empty or larger
+    if isinstance(space, TranslationSpace):
+        inside = set(T[0]).intersection(*T[1:]) if T else set()
+        right_interior = tuple(j in inside for j in right)
+    else:
+        # in_core[-1] stays False: number.get gives -1 for a key outside the halo
+        in_core = [False] * (len(halo_keys) + 1)
+        for k in core_keys:
+            in_core[number[k]] = True
+        right_interior = tuple(
+            all(in_core[number.get(p, -1)] for _, fiber in maps for p in fiber(halo_keys[j]))
+            for j in right
+        )
     position = dict(zip(right, range(len(right))))
     adj, labels = [], []
     for row in zip(*T) if T else [()] * len(core_keys):
@@ -91,10 +102,7 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
         left=tuple(window.core),
         right=tuple(window.halo[j] for j in right),
         adj=tuple(adj),
-        right_interior=tuple(
-            all(in_core[number.get(p, -1)] for _, fiber in maps for p in fiber(halo_keys[j]))
-            for j in right
-        ),
+        right_interior=right_interior,
         cosets=tuple(labels),
     )
 
@@ -210,15 +218,20 @@ def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionRep
 
     both families partition the core; ``. |> e`` is injective on each piece;
     the 2|E| images are pairwise disjoint and cover the certified interior;
-    and at every interior point the fiber counts of all pieces sum to 1."""
+    and at every interior point the fiber counts of all pieces sum to 1.
+
+    Every set holds ``point_key``s. Images come from ``semi_action`` and
+    fibers from ``exact_preimage_point``, so no table of the graph is read."""
     report = DecompositionReport()
-    core = D.scope.core_set
+    core = set(map(point_key, D.scope.core))
     interior = certified_interior(space, D.E, D.scope)
     report.interior = tuple(interior)
 
+    piece_keys = {}
     for label, family in (("A", D.A), ("B", D.B)):
         pieces = [family.get(e.key, ()) for e in D.E]
-        union = set().union(*[set(p) for p in pieces]) if pieces else set()
+        piece_keys[label] = [set(map(point_key, p)) for p in pieces]
+        union = set().union(*piece_keys[label])
         total = sum(len(p) for p in pieces)
         report.add(
             f"partition-{label}",
@@ -229,26 +242,37 @@ def verify_decomposition(space: CellSpace, D: Decomposition) -> DecompositionRep
     images: list[tuple[str, set]] = []
     bad = None
     for label, e, piece in D.pieces():
-        img = {space.semi_action(m, e) for m in piece}
+        img = {point_key(space.semi_action(m, e)) for m in piece}
         if len(img) != len(piece):
             bad = (label, e.key)
         images.append((f"{label}:{e.key}", img))
     report.add("piece-injectivity", bad is None, f"piece={bad!r}")
 
-    report.first("images-disjoint", "(piece,piece,point)", (
-        (n1, n2, min(i1 & i2, key=point_key))
+    covered = set().union(*[i for _, i in images])
+    # pairwise disjoint exactly when the sizes add up to the union's; else find a pair
+    disjoint = len(covered) == sum(len(i) for _, i in images)
+    report.first("images-disjoint", "(piece,piece,point)", () if disjoint else (
+        (n1, n2, space.point(min(i1 & i2)))
         for (n1, i1), (n2, i2) in itertools.combinations(images, 2)
         if i1 & i2
     ))
 
-    covered = set().union(*[i for _, i in images]) if images else set()
-    report.first("images-cover-interior", "uncovered", (m for m in interior if m not in covered))
+    report.first(
+        "images-cover-interior", "uncovered", (m for m in interior if point_key(m) not in covered)
+    )
 
-    piece_sets = [(e, set(piece)) for _, e, piece in D.pieces()]
+    # each coset's fiber is read once, and counted in both of its pieces
+    by_coset = list(zip(D.E, piece_keys["A"], piece_keys["B"]))
     report.first("functional-identity", "(m,count)", (
         (m, n)
         for m in interior
-        for n in [sum(p in s for e, s in piece_sets for p in space.exact_preimage_point(e, m))]
+        for n in [
+            sum(
+                (k in a) + (k in b)
+                for e, a, b in by_coset
+                for k in map(point_key, space.exact_preimage_point(e, m))
+            )
+        ]
         if n != 1
     ))
 

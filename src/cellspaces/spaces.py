@@ -263,12 +263,16 @@ class CellSpace:
         This default calls the element-level methods; ``TranslationSpace``
         computes on payloads.
         """
-        P = self.point_group
-        point = (lambda k: k) if P is None else P.element
+        point = self.point
         return (
             lambda k: point_key(self.semi_action(point(k), coset)),
             lambda k: [point_key(m) for m in self.exact_preimage_point(coset, point(k))],
         )
+
+    def point(self, key):
+        """The point whose ``point_key`` is ``key``."""
+        P = self.point_group
+        return key if P is None else P.element(key)
 
     # -- cosets ------------------------------------------------------------
     def coset(self, g: GroupElement) -> Coset:
