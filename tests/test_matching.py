@@ -187,10 +187,21 @@ def test_long_augmenting_path_does_not_recurse():
             "left vertex 1 has a right vertex outside range(2) in [2]",
         ),
         ((2, 2, [[0], [-1]], 1), "left vertex 1 has a right vertex outside range(2) in [-1]"),
+        # rows are checked in order, so the first bad row is named
+        ((3, 3, [[0], [3], [1, 1]], 1), "left vertex 1 has a right vertex outside range(3) in [3]"),
+        ((3, 3, [[0], [1, 1], [3]], 1), "left vertex 1 repeats a right vertex in [1, 1]"),
         ((2, 2, [[0, 1]], 1), "adjacency has 1 rows for 2 left vertices"),
         ((1, 2, [[0, 1]], 2, [True]), "right_required has 1 entries for 2 right vertices"),
     ],
-    ids=["repeated-right", "right-too-large", "right-negative", "short-adjacency", "short-required"],
+    ids=[
+        "repeated-right",
+        "right-too-large",
+        "right-negative",
+        "range-before-repeat",
+        "repeat-before-range",
+        "short-adjacency",
+        "short-required",
+    ],
 )
 def test_malformed_input_is_refused(args, message):
     with pytest.raises(ConstructionError) as info:

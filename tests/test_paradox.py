@@ -12,10 +12,14 @@ from cellspaces import (
     Decomposition,
     ExpansionSet,
     FAMeasure,
+    FreeGroup,
     GroupAsSpace,
     HaremMatching,
     PermutationGroup,
     ScopeMismatchError,
+    SemidirectCellSpace,
+    SemidirectProduct,
+    SignedPermutationGroup,
     UncertifiedWindowError,
     Window,
     affine_space,
@@ -33,7 +37,7 @@ from cellspaces import (
 )
 from cellspaces import codec
 from cellspaces.groups import GroupElement
-from cellspaces.spaces import point_key
+from cellspaces.spaces import TranslationSpace, point_key
 from oracles import search_decompositions
 
 
@@ -131,6 +135,14 @@ def brute_force_graph(space, E, window) -> tuple:
 
 
 _UNIT_FREE2 = [[], [1], [-1], [2], [-2]]
+
+
+def _signed_free2():
+    """B_2 x| F_2: the signed permutations of the letters a, b acting on F_2."""
+    G0 = SignedPermutationGroup(2)
+    tau = {(g.payload, i): (g.payload[i],) for g in G0.elements() for i in range(2)}
+    return SemidirectCellSpace(SemidirectProduct(G0, FreeGroup(2), tau), name="signedfree:2")
+
 _GRAPH_CASES = {
     **{
         f"free2-r{r}-halo{r + 1}": ("free:2", (r, r + 1), _UNIT_FREE2) for r in (2, 3, 4)
@@ -145,6 +157,18 @@ _GRAPH_CASES = {
         (2, 4),
         [[[1, 2], [0, 0]], [[-1, 2], [1, 0]], [[2, 1], [0, -2]], [[1, -2], [2, 1]]],
     ),
+    "free3-r2-halo3": ("free:3", (2, 3), [[], [1], [-1], [2], [-2], [3], [-3]]),
+    # |G0| = 8 on a free point group: each coset's representatives differ in
+    # their G0 part only, so the one fiber point of y is y t^-1 as on free:2
+    **{
+        f"signedfree2-r{r}-halo{r + 2}": (
+            _signed_free2,
+            (r, r + 2),
+            [[[1, 2], []], [[-1, 2], [1]], [[2, -1], [-1]], [[1, -2], [2]], [[-2, 1], [-2]],
+             [[2, 1], [1, 2]]],
+        )
+        for r in (2, 3)
+    },
     "affine5-full": ("affine:5", None, [[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [3, 4, 0, 1, 2]]),
     "affine3-acting-twice": (
         "affine:3",
@@ -157,7 +181,7 @@ _GRAPH_CASES = {
 @pytest.mark.parametrize("case", sorted(_GRAPH_CASES))
 def test_build_graph_matches_the_element_level_graph(case):
     name, radii, reps = _GRAPH_CASES[case]
-    sp = space_by_name(name)
+    sp = space_by_name(name) if isinstance(name, str) else name()
     if case == "affine3-acting-twice":
         # g acts as g o g: the semi-action is not free, so two cosets of E
         # send some point to one image and the edge takes the first one's label
@@ -268,21 +292,43 @@ def test_decomposition_json_round_trip():
         assert back.scope.core == D.scope.core
 
 
-def test_mutated_decomposition_fails_with_witness():
-    sp, E, w, graph, ttm, D = run_pipeline()
+def _mutated(D):
+    """D with one point moved between pieces: its image now collides or goes
+    uncovered."""
     keys = sorted(D.A)
     first, second = keys[0], keys[1]
-    # move one point between pieces: its image now collides or goes uncovered
     moved = D.A[first][0]
     mutated_A = dict(D.A)
     mutated_A[first] = tuple(D.A[first][1:])
     mutated_A[second] = tuple(sorted(D.A[second] + (moved,)))
-    from cellspaces import Decomposition
+    return Decomposition(E=D.E, A=mutated_A, B=D.B, scope=D.scope)
 
-    bad = Decomposition(E=D.E, A=mutated_A, B=D.B, scope=D.scope)
-    report = verify_decomposition(sp, bad)
+
+def test_mutated_decomposition_fails_with_witness():
+    sp, E, w, graph, ttm, D = run_pipeline()
+    report = verify_decomposition(sp, _mutated(D))
     assert not report.passed
     assert any(c.witness for c in report.failures())
+
+
+def test_verify_reads_no_key_maps(monkeypatch):
+    """The verifier recomputes images and fibers through the element-level
+    methods, so it does not share the graph's table: with ``key_maps``
+    broken it still passes the pipeline's decomposition, and fails the
+    mutated one on the same witnesses."""
+    sp, E, w, graph, ttm, D = run_pipeline()
+
+    def broken(self, coset):
+        raise AssertionError("verify_decomposition read key_maps")
+
+    monkeypatch.setattr(TranslationSpace, "key_maps", broken)
+    assert verify_decomposition(sp, D).passed
+    failures = [(c.name, c.witness) for c in verify_decomposition(sp, _mutated(D)).failures()]
+    assert failures == [
+        ("images-disjoint", "(piece,piece,point)=('A:(-2,)', 'B:(-2,)', <free b'>)"),
+        ("images-cover-interior", "uncovered=<free e>"),
+        ("functional-identity", "(m,count)=(<free e>, 0)"),
+    ]
 
 
 def test_malformed_json_is_rejected():
