@@ -44,7 +44,9 @@ class BipartiteGraph:
     ``adj[i]`` lists right indices reachable from ``left[i]``, and
     ``cosets[i][j]`` is the first coset of E, in E order, that sends
     ``left[i]`` to ``right[adj[i][j]]``. ``right_interior`` flags right
-    vertices whose exact left fiber is fully inside the core.
+    vertices whose exact left fiber is fully inside the core. On a
+    ``TranslationSpace`` these are the right vertices that every coset of E
+    reaches from the core, since each fiber is one point.
     """
 
     left: tuple

@@ -502,7 +502,13 @@ class TranslationSpace(CellSpace):
     """Coordinates in a complement subgroup P, the point group: ``m |> gG0 = m t``
     for t the P-part of gG0 (``translation`` gives its payload), and the fiber
     of a is ``a t^-1``, computed here on P's payloads. ``semi_action`` stays the
-    general formula, through which the verifiers recheck every image."""
+    general formula, through which the verifiers recheck every image.
+
+    Each ``. |> gG0`` is then a bijection of M, so the fiber of a lies in a
+    set F exactly when a is in ``F |> gG0``; ``build_graph`` reads its
+    interior that way. The rule fails where a fiber may be empty or hold
+    several points, as on a ``FiniteSpace`` whose coordinates are no
+    complement."""
 
     def translation(self, coset: Coset):
         raise NotImplementedError

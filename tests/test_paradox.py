@@ -143,6 +143,7 @@ def _signed_free2():
     tau = {(g.payload, i): (g.payload[i],) for g in G0.elements() for i in range(2)}
     return SemidirectCellSpace(SemidirectProduct(G0, FreeGroup(2), tau), name="signedfree:2")
 
+
 _GRAPH_CASES = {
     **{
         f"free2-r{r}-halo{r + 1}": ("free:2", (r, r + 1), _UNIT_FREE2) for r in (2, 3, 4)
