@@ -9,7 +9,7 @@ graph reaches from the source, the source side of a minimum cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Optional, Sequence, Union
 
 from .errors import ConstructionError
@@ -45,23 +45,12 @@ class Dinic:
         self.adj: list[list[int]] = [[] for _ in range(n)]
 
     def add_edge(self, u: int, v: int, cap: int) -> int:
-        self.add_edges([u], [v], [cap])
-        return len(self.to) - 2
-
-    def add_edges(self, us: list[int], vs: list[int], caps: list[int]) -> None:
-        """``add_edge(us[i], vs[i], caps[i])`` for each i in order: the same
-        arc ids and adjacency order, with ``to`` and ``cap`` filled by
-        slices."""
-        to, cap, adj = self.to, self.cap, self.adj
-        first = len(to)
-        tails = [0] * (2 * len(us))  # tails[i] is the tail of arc first + i
-        tails[::2], tails[1::2] = us, vs
-        to += tails
-        to[first::2], to[first + 1 :: 2] = vs, us
-        cap += [0] * len(tails)
-        cap[first::2] = caps
-        for eid, u in enumerate(tails, first):
-            adj[u].append(eid)
+        eid = len(self.to)
+        self.to += (v, u)
+        self.cap += (cap, 0)
+        self.adj[u].append(eid)
+        self.adj[v].append(eid + 1)
+        return eid
 
     def distances(self, start: int, stop: int, backwards: bool = False) -> list[int]:
         """The residual distance from ``start`` to each vertex, or from each
@@ -177,18 +166,13 @@ def solve_harem(
         raise ConstructionError("k must be a positive integer")
     if len(adjacency) != n_left:
         raise ConstructionError(f"adjacency has {len(adjacency)} rows for {n_left} left vertices")
-    ys = list(chain.from_iterable(adjacency))
-    if sum(map(len, map(set, adjacency))) != len(ys) or ys and not (
-        0 <= min(ys) and max(ys) < n_right
-    ):
-        # one pass found a bad row; name the first one
-        for x, row in enumerate(adjacency):
-            if len(set(row)) != len(row):
-                raise ConstructionError(f"left vertex {x} repeats a right vertex in {list(row)}")
-            if row and not (0 <= min(row) and max(row) < n_right):
-                raise ConstructionError(
-                    f"left vertex {x} has a right vertex outside range({n_right}) in {list(row)}"
-                )
+    for x, row in enumerate(adjacency):
+        if len(set(row)) != len(row):
+            raise ConstructionError(f"left vertex {x} repeats a right vertex in {list(row)}")
+        if row and not (0 <= min(row) and max(row) < n_right):
+            raise ConstructionError(
+                f"left vertex {x} has a right vertex outside range({n_right}) in {list(row)}"
+            )
     if right_required is None:
         right_required = [True] * n_right
     elif len(right_required) != n_right:
@@ -212,18 +196,20 @@ def solve_harem(
     tt = t + 2
     n_required = sum(map(bool, right_required))
     net = Dinic(tt + 1)
-    # arc i runs from us[i] to vs[i], its id is 2i and its reverse's 2i + 1;
-    # the first ones run from the i-th pair (x, y) of the adjacency, row by row
-    lefts = range(1, 1 + n_left)
-    us = [x for x, row in zip(lefts, adjacency) for _ in row]
-    n_mid = len(us)
-    us += [*range(1 + n_left, t), t, s, *[ss] * n_left, ss]
-    vs = [1 + n_left + y for y in ys]
-    vs += [tt if required else t for required in right_required]
-    vs += [s, tt, *lefts, t]
-    caps = [INF] * n_mid + [1] * n_right + [INF, k * n_left] + [k] * n_left + [n_required]
-    net.add_edges(us, vs, caps)
-    del ys, us, vs, caps  # freed before the flow, where memory peaks
+    # arc 2i runs from the i-th pair (x, y) of the adjacency, read row by row
+    arcs = [(x, 1 + n_left + y, INF) for x, row in enumerate(adjacency, 1) for y in row]
+    n_mid = len(arcs)
+    arcs += [(y, tt if required else t, 1) for y, required in enumerate(right_required, 1 + n_left)]
+    arcs += [(t, s, INF), (s, tt, k * n_left)]
+    arcs += [(ss, x, k) for x in range(1, 1 + n_left)]
+    arcs.append((ss, t, n_required))
+    to, cap, adj = net.to, net.cap, net.adj
+    for u, v, c in arcs:
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, 0)
+    del arcs  # freed before the flow, where memory peaks
     if net.max_flow(ss, tt) < k * n_left + n_required:
         # the vertices that the final residual graph reaches from ss are a
         # minimum cut S. If t is in S, every left vertex in S has all its
@@ -239,7 +225,7 @@ def solve_harem(
         A = tuple(x for x in range(n_left) if reach[1 + x] >= 0)
         return HaremViolation("left", A, n_right_of(adjacency, A), k)
     pairs = ((x, y) for x, row in enumerate(adjacency) for y in row)
-    return HaremMatching(k, tuple(sorted(compress(pairs, net.cap[1 : 2 * n_mid : 2]))))
+    return HaremMatching(k, tuple(sorted(compress(pairs, cap[1 : 2 * n_mid : 2]))))
 
 
 def n_right_of(adjacency: Sequence[Sequence[int]], A) -> int:

@@ -45,8 +45,9 @@ class BipartiteGraph:
     ``cosets[i][j]`` is the first coset of E, in E order, that sends
     ``left[i]`` to ``right[adj[i][j]]``. ``right_interior`` flags right
     vertices whose exact left fiber is fully inside the core. On a
-    ``TranslationSpace`` these are the right vertices that every coset of E
-    reaches from the core, since each fiber is one point.
+    ``TranslationSpace`` that keeps its own ``key_maps`` these are the right
+    vertices that every coset of E reaches from the core, since each fiber is
+    one point.
     """
 
     left: tuple
@@ -78,8 +79,8 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
         )
     right = sorted(set().union(*T), key=halo_keys.__getitem__)
     # a translation m |> c = m t gives y the one fiber point y t^-1, in the core
-    # exactly when y is in c's column; other spaces' fibers may be empty or larger
-    if isinstance(space, TranslationSpace):
+    # exactly when y is in c's column; other fiber maps may give none or several
+    if type(space).key_maps is TranslationSpace.key_maps:
         inside = set(T[0]).intersection(*T[1:]) if T else set()
         right_interior = tuple(j in inside for j in right)
     else:

@@ -506,9 +506,10 @@ class TranslationSpace(CellSpace):
 
     Each ``. |> gG0`` is then a bijection of M, so the fiber of a lies in a
     set F exactly when a is in ``F |> gG0``; ``build_graph`` reads its
-    interior that way. The rule fails where a fiber may be empty or hold
-    several points, as on a ``FiniteSpace`` whose coordinates are no
-    complement."""
+    interior that way while a subclass keeps this ``key_maps``. The rule fails
+    where a fiber may be empty or hold several points: on a ``FiniteSpace``
+    whose coordinates are no complement, or on a subclass that widens the
+    fibers."""
 
     def translation(self, coset: Coset):
         raise NotImplementedError

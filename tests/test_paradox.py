@@ -39,6 +39,7 @@ from cellspaces import codec
 from cellspaces.groups import GroupElement
 from cellspaces.spaces import TranslationSpace, point_key
 from oracles import search_decompositions
+from test_folner import WideFibers
 
 
 def free2():
@@ -170,6 +171,9 @@ _GRAPH_CASES = {
         )
         for r in (2, 3)
     },
+    # a subclass whose fibers also hold the point itself: a^3 is in both
+    # columns of ball(2) but is its own fiber point, outside the core
+    "widefibers-r2-halo4": (lambda: WideFibers(FreeGroup(2)), (2, 4), [[1], [1, 1]]),
     "affine5-full": ("affine:5", None, [[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [3, 4, 0, 1, 2]]),
     "affine3-acting-twice": (
         "affine:3",
