@@ -14,7 +14,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConstructionError
-from .spaces import CellSpace, Coset, ExpansionSet, Window, fiber_in_window, point_key
+from .spaces import (
+    CellSpace,
+    Coset,
+    ExpansionSet,
+    Window,
+    distinct_keys,
+    fiber_in_window,
+    point_key,
+)
 
 # each step of doubling_from_failure forms |E|·|G0|·|E2| coset products, and
 # |E| grows about |E2|-fold per step; free:2 with epsilon = 1/10 forms 32,755
@@ -49,10 +57,11 @@ def ratios(
 ) -> RatioRecord:
     """The ratios of F under ``. |> coset``, counted on point keys: the
     fibers come from the space's ``key_maps``, cut to the window by
-    ``fiber_in_window`` as ``CellSpace.preimage`` cuts them."""
+    ``fiber_in_window`` as ``CellSpace.preimage`` cuts them. A point F
+    holds twice is refused."""
     if not F:
         raise ConstructionError("F must be non-empty")
-    f_keys = set(map(point_key, F))
+    f_keys = distinct_keys(F)
     _, fiber = space.key_maps(coset)
     pre, certified = fiber_in_window(space, fiber, f_keys, universe.halo_keys)
     n = len(F)
@@ -232,6 +241,6 @@ def check_doubling(
         if not F:
             raise ConstructionError("F must be non-empty")
         keys = set(map(point_key, F))
-        image = {f(k) for f in images for k in keys}
+        image = set().union(*(f(keys) for f in images))
         verdicts.append(DoublingVerdict(set_id, len(keys), len(image)))
     return DoublingReport(verdicts)

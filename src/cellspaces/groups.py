@@ -139,6 +139,10 @@ class Group:
     def _inv(self, a: Payload) -> Payload:
         raise NotImplementedError
 
+    def _mul_all(self, payloads: Iterable[Payload], b: Payload) -> list[Payload]:
+        """``[_mul(a, b) for a in payloads]``, in the order ``payloads`` iterates."""
+        return list(map(self._mul, payloads, repeat(b)))
+
     def is_payload(self, p) -> bool:
         """Whether ``p`` is the payload of an element of this group."""
         raise NotImplementedError
@@ -363,6 +367,27 @@ class FreeAbelianGroup(Group):
     def _inv(self, a: Payload) -> Payload:
         return tuple(map(operator.neg, a))
 
+    def _mul_all(self, payloads: Iterable[Payload], b: Payload) -> list[Payload]:
+        # one coordinate column at a time: transpose, add t_i to column i,
+        # zip the columns back, with no Python call per point
+        columns = zip(*payloads)
+        return list(zip(*[map(t.__add__, col) for t, col in zip(b, columns)]))
+
+    def _ball_layers(self, r: int) -> list[list[Payload]]:
+        # the L1 spheres: a generator moves a point one step in or out, so the
+        # next sphere is the translates of the current one less the current
+        # and previous spheres, and the walk keeps no set of the points seen.
+        # Each layer comes out in hash order, which the sort in balls fixes;
+        # the limit is left to ball_size
+        gens = self._generator_payloads()
+        before, sphere = set(), {self._identity()}
+        layers = [list(sphere)]
+        for _ in range(r):
+            grown = set().union(*(self._mul_all(sphere, g) for g in gens))
+            before, sphere = sphere, grown - sphere - before
+            layers.append(list(sphere))
+        return layers
+
     def ball_size(self, r: int) -> int:
         # the L1 ball; the term of i counts the points with i non-zero
         # coordinates, 2^i C(d, i) C(r, i)
@@ -443,7 +468,7 @@ class FreeGroup(Group):
         return a[: len(a) - n] + b[n:]
 
     def _inv(self, a: Payload) -> Payload:
-        return tuple(-x for x in reversed(a))
+        return tuple(map(operator.neg, reversed(a)))
 
     def _ball_layers(self, r: int) -> list[list[Payload]]:
         # the words one step out are the one-letter extensions that do not

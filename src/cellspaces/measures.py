@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConstructionError, ScopeMismatchError, UncertifiedWindowError
-from .spaces import CellSpace, Coset, Window, certifying_halo_note
+from .spaces import CellSpace, Coset, Window, certifying_halo_note, distinct_keys
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,11 @@ def empirical_mean_defect(
     f: BoundedFn,
     universe: Window,
 ) -> tuple[Fraction, Fraction]:
-    """|(nu_F <~ coset - nu_F)(f)| and the (ratio_in + ratio_out)*||f|| bound."""
+    """|(nu_F <~ coset - nu_F)(f)| and the (ratio_in + ratio_out)*||f|| bound.
+    A point F holds twice is refused."""
     if not F:
         raise ConstructionError("F must be non-empty")
+    distinct_keys(F)
     pre_set, certified = space.preimage(coset, list(F), universe)
     if not certified:
         raise UncertifiedWindowError(

@@ -69,7 +69,7 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
     core_keys = list(map(point_key, window.core))
     cosets = list(E)
     maps = [space.key_maps(e) for e in cosets]
-    T = [[number.get(image(k), -1) for k in core_keys] for image, _ in maps]
+    T = [list(map(number.get, image(core_keys), itertools.repeat(-1))) for image, _ in maps]
     if any(-1 in row for row in T):
         i, c = min((row.index(-1), c) for c, row in enumerate(T) if -1 in row)
         m, e = window.core[i], cosets[c]
@@ -89,7 +89,7 @@ def build_graph(space: CellSpace, E: ExpansionSet, window: Window) -> BipartiteG
         for k in core_keys:
             in_core[number[k]] = True
         right_interior = tuple(
-            all(in_core[number.get(p, -1)] for _, fiber in maps for p in fiber(halo_keys[j]))
+            all(in_core[number.get(p, -1)] for _, fiber in maps for p in fiber([halo_keys[j]]))
             for j in right
         )
     position = dict(zip(right, range(len(right))))

@@ -29,6 +29,19 @@ def point_key(m):
     return m.payload if isinstance(m, GroupElement) else m
 
 
+def distinct_keys(F: Sequence) -> set:
+    """The ``point_key``s of F, refused with the first point F holds twice:
+    a ratio over |F| must count each point once."""
+    keys = set(map(point_key, F))
+    if len(keys) < len(F):
+        seen: set = set()
+        for m in F:
+            if point_key(m) in seen:
+                raise ConstructionError(f"F holds the point {m!r} twice")
+            seen.add(point_key(m))
+    return keys
+
+
 class Coset:
     """Left coset of the stabilizer G0, with G0-aware equality.
 
@@ -156,10 +169,11 @@ def certifying_halo_note(
 
 
 def fiber_in_window(
-    space: "CellSpace", fiber: Callable[[object], Iterable], targets: set, halo: frozenset
+    space: "CellSpace", fiber: Callable[[Iterable], Iterable], targets: set, halo: frozenset
 ) -> tuple[set, bool]:
-    """The points of the fibers ``fiber(a)``, a in ``targets``, that lie in
-    ``halo``, and whether every fiber point does (the count is then exact).
+    """The points of ``fiber(targets)``, the fibers of all targets at once,
+    that lie in ``halo``, and whether every fiber point does (the count is
+    then exact).
 
     Points and targets may be elements or point keys, as long as ``halo``
     holds the same kind. Targets outside the halo are refused, and so are
@@ -167,7 +181,7 @@ def fiber_in_window(
     """
     if not targets <= halo:
         raise ScopeMismatchError("A must be contained in the window halo")
-    exact = {m for a in targets for m in fiber(a)}
+    exact = set(fiber(targets))
     bound = len(space.stabilizer) * len(targets)
     if len(exact) > bound:
         raise IntegrityError(
@@ -256,17 +270,20 @@ class CellSpace:
         return [m for m in self.points() if self.semi_action(m, coset) == a]
 
     def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
-        """``. |> coset`` on point keys (``point_key``): the pair (image,
-        fiber), where image(k) is the key of ``m |> coset`` and fiber(k) the
-        keys of ``exact_preimage_point(coset, m)``, m the point of key k.
+        """``. |> coset`` on lists of point keys (``point_key``): the pair
+        (image, fiber). For the points m of the keys ks, in the order ks
+        iterates, image(ks) lists the keys of ``m |> coset`` and fiber(ks) the
+        keys of ``exact_preimage_point(coset, m)``, concatenated.
 
-        This default calls the element-level methods; ``TranslationSpace``
-        computes on payloads.
+        This default calls the element-level methods point by point;
+        ``TranslationSpace`` translates the whole list on payloads.
         """
         point = self.point
         return (
-            lambda k: point_key(self.semi_action(point(k), coset)),
-            lambda k: [point_key(m) for m in self.exact_preimage_point(coset, point(k))],
+            lambda ks: [point_key(self.semi_action(point(k), coset)) for k in ks],
+            lambda ks: [
+                point_key(m) for k in ks for m in self.exact_preimage_point(coset, point(k))
+            ],
         )
 
     def point(self, key):
@@ -294,9 +311,10 @@ class CellSpace:
         """The windowed preimage of A under ``. |> coset``: ``fiber_in_window``'s
         (points, certified) pair. ``certified`` means the halo provably holds
         the whole preimage; an uncertified result is only a lower bound."""
-        return fiber_in_window(
-            self, lambda a: self.exact_preimage_point(coset, a), set(A), universe.halo_set
-        )
+        def fiber(targets):
+            return [m for a in targets for m in self.exact_preimage_point(coset, a)]
+
+        return fiber_in_window(self, fiber, set(A), universe.halo_set)
 
     def undo_witness(self, m, coset: Coset, sample: Sequence[Coset]) -> GroupElement:
         """A representative g of the coset with (m |> coset) |> g' = m |> g g'
@@ -519,9 +537,11 @@ class TranslationSpace(CellSpace):
         return [GroupElement(P, P._mul(a.payload, P._inv(self.translation(coset))))]
 
     def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
+        """Both maps translate the whole key list with the point group's
+        ``_mul_all``: image by t, fiber by t^-1 (one fiber point per key)."""
         P, t = self.point_group, self.translation(coset)
         t_inv = P._inv(t)
-        return (lambda p: P._mul(p, t), lambda p: [P._mul(p, t_inv)])
+        return (lambda ks: P._mul_all(ks, t), lambda ks: P._mul_all(ks, t_inv))
 
     def ball_window(self, core_radius: int, halo_radius: int) -> Window:
         """``group_window`` on the point group: boxes of Z^d, or balls."""

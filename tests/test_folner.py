@@ -358,13 +358,36 @@ def test_ratios_refuse_a_set_outside_the_halo():
     _same_refusal(sp, F, sp.coset(sp.group.word([1])), window, ScopeMismatchError, "halo")
 
 
+def _twice_ball_1(name):
+    # ball(1) given twice: |F| = 2|ball(1)| would halve every ratio
+    sp = space_by_name(name)
+    return sp, sp.ball_window(2, 3), sp.point_group.ball(1) * 2
+
+
+def test_ratios_refuse_a_repeated_point():
+    # on zd:1 the true ratio_out of ball(1) under +1 is 1/3; counted over
+    # the list it would read 1/6
+    sp, window, F = _twice_ball_1("zd:1")
+    with pytest.raises(ConstructionError, match=r"^F holds the point <zd \(0,\)> twice$"):
+        ratios(sp, F, sp.coset(sp.group.element((1,))), window)
+
+
+def test_folner_search_refuses_a_repeated_point():
+    # with the ratios halved, ball(1) given twice would pass epsilon = 1/3,
+    # a false Folner claim
+    sp, window, F = _twice_ball_1("zd:1")
+    with pytest.raises(ConstructionError, match=r"^F holds the point <zd \(0,\)> twice$"):
+        folner_search(sp, unit_cosets(sp), Fraction(1, 3), [("F", F)], window)
+    assert folner_search(sp, unit_cosets(sp), Fraction(1, 3), [("F", F[:3])], window).exhausted
+
+
 class WideFibers(GroupAsSpace):
     """free:2 whose fibers, on keys and on elements, also hold the point
     itself: more than |G0|*|A| = |A| points for a set A."""
 
     def key_maps(self, coset):
         image, fiber = super().key_maps(coset)
-        return image, lambda k: fiber(k) + [k]
+        return image, lambda ks: fiber(ks) + list(ks)
 
     def exact_preimage_point(self, coset, a):
         return super().exact_preimage_point(coset, a) + [a]

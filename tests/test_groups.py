@@ -17,7 +17,7 @@ from cellspaces import (
     space_by_name,
     subgroup_sample,
 )
-from cellspaces.groups import bfs_layers
+from cellspaces.groups import Group, bfs_layers
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=20)
 
@@ -259,6 +259,41 @@ def test_tau_apply_matches_the_generator_table_on_a_free_factor():
         for g in sd.G0.elements():
             assert sd.tau_apply(g.payload, w.payload) == _tau_by_generators(sd, g.payload, w.payload)
         assert sd.tau_apply(sd.G0.identity().payload, w.payload) == w.payload
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_column_translation_matches_mul_on_zd(d):
+    # Z^d translates a key list one coordinate column at a time
+    P = FreeAbelianGroup(d)
+    rng = random.Random(d)
+    points = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(60)]
+    for b in [P._identity(), *P._generator_payloads(), points[0]]:
+        assert P._mul_all(points, b) == [P._mul(a, b) for a in points]
+        as_set = set(points)
+        assert sorted(P._mul_all(as_set, b)) == sorted(P._mul(a, b) for a in as_set)
+        assert P._mul_all([], b) == []
+
+
+@pytest.mark.parametrize("make", [lambda: FreeGroup(2), _letter_swap_product],
+                         ids=["free:2", "semidirect-free:2"])
+def test_mul_all_matches_mul_on_words(make):
+    group = make()
+    payloads = [g.payload for g in group.ball(3)]
+    for b in payloads[::7]:
+        assert group._mul_all(payloads, b) == [group._mul(a, b) for a in payloads]
+        assert sorted(group._mul_all(set(payloads), b)) == sorted(
+            group._mul(a, b) for a in payloads
+        )
+        assert group._mul_all([], b) == []
+
+
+@pytest.mark.parametrize("d, top", [(1, 10), (2, 10), (3, 10), (4, 10), (6, 5)])
+def test_lattice_spheres_match_the_generic_walk(d, top):
+    # the L1 sphere walk against the walk by products with every generator
+    P = FreeAbelianGroup(d)
+    for r in (0, 1, top):
+        spheres = [sorted(layer) for layer in P._ball_layers(r)]
+        assert spheres == [sorted(layer) for layer in Group._ball_layers(P, r)]
 
 
 def _hyperoct_product(d):

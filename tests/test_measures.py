@@ -142,6 +142,16 @@ def test_empirical_mean_defect_bound_holds():
         assert defect <= bound
 
 
+def test_empirical_mean_defect_refuses_a_repeated_point():
+    # the defect and its bound divide by |F|, so F must not repeat a point
+    sp = space_by_name("zd:1")
+    w = sp.ball_window(2, 3)
+    F = sp.point_group.ball(1) * 2
+    f = indicator(w, w.core)
+    with pytest.raises(ConstructionError, match=r"^F holds the point <zd \(0,\)> twice$"):
+        empirical_mean_defect(sp, F, sp.coset(sp.group.element((1,))), f, w)
+
+
 def test_uniform_measure_shares_one_weight():
     universe = space_by_name("free:2").ball_window(3, 3)
     mu = FAMeasure.uniform(universe)

@@ -207,12 +207,19 @@ def test_build_graph_matches_the_element_level_graph(case):
 def test_key_maps_agree_with_the_element_methods(name):
     sp = space_by_name(name)
     points = sp.ball_window(2, 2).core[::3] if hasattr(sp, "ball_window") else sp.points()
+    keys = list(map(point_key, points))
     for e in ExpansionSet.of(sp.coset(g) for g in sp.group.ball(2)):
         image, fiber = sp.key_maps(e)
-        for m in points:
-            k = point_key(m)
-            assert image(k) == point_key(sp.semi_action(m, e))
-            assert sorted(fiber(k)) == sorted(map(point_key, sp.exact_preimage_point(e, m)))
+        images = [point_key(sp.semi_action(m, e)) for m in points]
+        fibers = [sorted(map(point_key, sp.exact_preimage_point(e, m))) for m in points]
+        # the whole list at once: images in order, fibers concatenated in order
+        assert image(keys) == images
+        assert sorted(fiber(keys)) == sorted(p for f in fibers for p in f)
+        assert fiber(keys) == [p for k in keys for p in fiber([k])]
+        for k, moved, f in zip(keys, images, fibers):
+            assert image([k]) == [moved]
+            assert sorted(fiber([k])) == f
+        assert image([]) == [] and fiber([]) == []
 
 
 def test_two_to_one_map_fibers():

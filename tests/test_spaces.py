@@ -281,11 +281,11 @@ def _check_payload_maps(sp, ms, reps):
     for g in reps:
         c = sp.coset(g)
         image, fiber = sp.key_maps(c)
-        for m in ms:
-            moved = CellSpace.semi_action(sp, m, c)
-            assert image(m.payload) == moved.payload
-            assert fiber(moved.payload) == [m.payload]
-            assert sp.exact_preimage_point(c, moved) == [m]
+        moved = [CellSpace.semi_action(sp, m, c) for m in ms]
+        assert image([m.payload for m in ms]) == [m.payload for m in moved]
+        assert fiber([m.payload for m in moved]) == [m.payload for m in ms]
+        for m, a in zip(ms, moved):
+            assert sp.exact_preimage_point(c, a) == [m]
 
 
 def test_semidirect_semi_action_matches_the_general_formula_on_hyperoct():
