@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from itertools import repeat
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BackendMismatchError, ConstructionError
 
@@ -139,9 +139,13 @@ class Group:
     def _inv(self, a: Payload) -> Payload:
         raise NotImplementedError
 
-    def _mul_all(self, payloads: Iterable[Payload], b: Payload) -> list[Payload]:
-        """``[_mul(a, b) for a in payloads]``, in the order ``payloads`` iterates."""
-        return list(map(self._mul, payloads, repeat(b)))
+    def _mul_all(self, payloads: Iterable[Payload], b: Payload) -> Iterator[Payload]:
+        """``_mul(a, b)`` for each a of ``payloads`` (a list or a set, which a
+        backend may read more than once), in the order they iterate. An
+        iterator, so that a caller that only looks each product up frees it
+        before the next: a list would keep thousands of tuples alive at once
+        and set off the cyclic garbage collector."""
+        return map(self._mul, payloads, repeat(b))
 
     def is_payload(self, p) -> bool:
         """Whether ``p`` is the payload of an element of this group."""
@@ -367,11 +371,13 @@ class FreeAbelianGroup(Group):
     def _inv(self, a: Payload) -> Payload:
         return tuple(map(operator.neg, a))
 
-    def _mul_all(self, payloads: Iterable[Payload], b: Payload) -> list[Payload]:
-        # one coordinate column at a time: transpose, add t_i to column i,
-        # zip the columns back, with no Python call per point
-        columns = zip(*payloads)
-        return list(zip(*[map(t.__add__, col) for t, col in zip(b, columns)]))
+    def _mul_all(self, payloads: Iterable[Payload], b: Payload) -> Iterator[Payload]:
+        # one coordinate column at a time: read column i off the payloads,
+        # add t_i to it and zip the columns back, with no Python-level call
+        # per point. Reading the payloads once per column, not transposing
+        # them with zip(*payloads), keeps no iterator per payload alive
+        columns = [map(operator.itemgetter(i), payloads) for i in range(self.d)]
+        return zip(*[map(t.__add__, col) for t, col in zip(b, columns)])
 
     def _ball_layers(self, r: int) -> list[list[Payload]]:
         # the L1 spheres: a generator moves a point one step in or out, so the

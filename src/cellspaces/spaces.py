@@ -35,10 +35,10 @@ def distinct_keys(F: Sequence) -> set:
     keys = set(map(point_key, F))
     if len(keys) < len(F):
         seen: set = set()
-        for m in F:
-            if point_key(m) in seen:
+        for m, k in zip(F, map(point_key, F)):
+            if k in seen:
                 raise ConstructionError(f"F holds the point {m!r} twice")
-            seen.add(point_key(m))
+            seen.add(k)
     return keys
 
 
@@ -272,8 +272,8 @@ class CellSpace:
     def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
         """``. |> coset`` on lists of point keys (``point_key``): the pair
         (image, fiber). For the points m of the keys ks, in the order ks
-        iterates, image(ks) lists the keys of ``m |> coset`` and fiber(ks) the
-        keys of ``exact_preimage_point(coset, m)``, concatenated.
+        iterates, image(ks) iterates the keys of ``m |> coset`` and fiber(ks)
+        the keys of ``exact_preimage_point(coset, m)``, concatenated.
 
         This default calls the element-level methods point by point;
         ``TranslationSpace`` translates the whole list on payloads.
@@ -538,7 +538,8 @@ class TranslationSpace(CellSpace):
 
     def key_maps(self, coset: Coset) -> tuple[Callable, Callable]:
         """Both maps translate the whole key list with the point group's
-        ``_mul_all``: image by t, fiber by t^-1 (one fiber point per key)."""
+        ``_mul_all``: image by t, fiber by t^-1 (one fiber point per key).
+        Both return ``_mul_all``'s iterator."""
         P, t = self.point_group, self.translation(coset)
         t_inv = P._inv(t)
         return (lambda ks: P._mul_all(ks, t), lambda ks: P._mul_all(ks, t_inv))

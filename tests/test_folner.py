@@ -387,7 +387,7 @@ class WideFibers(GroupAsSpace):
 
     def key_maps(self, coset):
         image, fiber = super().key_maps(coset)
-        return image, lambda ks: fiber(ks) + list(ks)
+        return image, lambda ks: [*fiber(ks), *ks]
 
     def exact_preimage_point(self, coset, a):
         return super().exact_preimage_point(coset, a) + [a]

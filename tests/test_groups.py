@@ -268,10 +268,10 @@ def test_column_translation_matches_mul_on_zd(d):
     rng = random.Random(d)
     points = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(60)]
     for b in [P._identity(), *P._generator_payloads(), points[0]]:
-        assert P._mul_all(points, b) == [P._mul(a, b) for a in points]
+        assert list(P._mul_all(points, b)) == [P._mul(a, b) for a in points]
         as_set = set(points)
         assert sorted(P._mul_all(as_set, b)) == sorted(P._mul(a, b) for a in as_set)
-        assert P._mul_all([], b) == []
+        assert list(P._mul_all([], b)) == []
 
 
 @pytest.mark.parametrize("make", [lambda: FreeGroup(2), _letter_swap_product],
@@ -280,11 +280,11 @@ def test_mul_all_matches_mul_on_words(make):
     group = make()
     payloads = [g.payload for g in group.ball(3)]
     for b in payloads[::7]:
-        assert group._mul_all(payloads, b) == [group._mul(a, b) for a in payloads]
+        assert list(group._mul_all(payloads, b)) == [group._mul(a, b) for a in payloads]
         assert sorted(group._mul_all(set(payloads), b)) == sorted(
             group._mul(a, b) for a in payloads
         )
-        assert group._mul_all([], b) == []
+        assert list(group._mul_all([], b)) == []
 
 
 @pytest.mark.parametrize("d, top", [(1, 10), (2, 10), (3, 10), (4, 10), (6, 5)])

@@ -282,8 +282,8 @@ def _check_payload_maps(sp, ms, reps):
         c = sp.coset(g)
         image, fiber = sp.key_maps(c)
         moved = [CellSpace.semi_action(sp, m, c) for m in ms]
-        assert image([m.payload for m in ms]) == [m.payload for m in moved]
-        assert fiber([m.payload for m in moved]) == [m.payload for m in ms]
+        assert list(image([m.payload for m in ms])) == [m.payload for m in moved]
+        assert list(fiber([m.payload for m in moved])) == [m.payload for m in ms]
         for m, a in zip(ms, moved):
             assert sp.exact_preimage_point(c, a) == [m]
 
