@@ -140,11 +140,10 @@ class Group:
         raise NotImplementedError
 
     def _mul_all(self, payloads: Iterable[Payload], b: Payload) -> Iterator[Payload]:
-        """``_mul(a, b)`` for each a of ``payloads`` (a list or a set, which a
-        backend may read more than once), in the order they iterate. An
-        iterator, so that a caller that only looks each product up frees it
-        before the next: a list would keep thousands of tuples alive at once
-        and set off the cyclic garbage collector."""
+        """``_mul(a, b)`` for each a of ``payloads``, in the order they
+        iterate. An iterator, so that a caller that only looks each product
+        up frees it before the next: a list would keep thousands of tuples
+        alive at once and set off the cyclic garbage collector."""
         return map(self._mul, payloads, repeat(b))
 
     def is_payload(self, p) -> bool:
@@ -375,7 +374,10 @@ class FreeAbelianGroup(Group):
         # one coordinate column at a time: read column i off the payloads,
         # add t_i to it and zip the columns back, with no Python-level call
         # per point. Reading the payloads once per column, not transposing
-        # them with zip(*payloads), keeps no iterator per payload alive
+        # them with zip(*payloads), keeps no iterator per payload alive; a
+        # one-shot iterator is read into a list first
+        if iter(payloads) is payloads:
+            payloads = list(payloads)
         columns = [map(operator.itemgetter(i), payloads) for i in range(self.d)]
         return zip(*[map(t.__add__, col) for t, col in zip(b, columns)])
 

@@ -269,6 +269,7 @@ def test_column_translation_matches_mul_on_zd(d):
     points = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(60)]
     for b in [P._identity(), *P._generator_payloads(), points[0]]:
         assert list(P._mul_all(points, b)) == [P._mul(a, b) for a in points]
+        assert list(P._mul_all(iter(points), b)) == [P._mul(a, b) for a in points]
         as_set = set(points)
         assert sorted(P._mul_all(as_set, b)) == sorted(P._mul(a, b) for a in as_set)
         assert list(P._mul_all([], b)) == []
